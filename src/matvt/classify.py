@@ -8,28 +8,16 @@ with the generic log-density path.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import (
-    MatrixStack,
-    MeanStructure,
-    MxvnParams,
-    MxvtParams,
-    ScatterStructure,
-    StructureSpec,
-    normalize_identifiability,
-)
+from .datamodel import StructureSpec
 from .distributions import mxvn_logpdf, mxvt_logpdf
 from .errors import EstimationError
-from .linalg import cholesky_logdet, safe_cholesky, solve_lower_batch, symmetrize
-from .mxvn import FitConfig, _relative_change, mxvn_fit
-from .mxvt import EcmeConfig, cme1, estep, mxvt_fit, _obs_loglik_from_bracket
-from .specfun import lmvgamma
-from .structures import constrained_mean, update_scatter_inverse
-from .distributions import t_bracket
-from scipy.optimize import minimize_scalar
+from .linalg import cholesky_logdet
+from .mxvn import FitConfig, mxvn_fit
+from .mxvt import EcmeConfig, mxvt_fit
 
 logger = logging.getLogger(__name__)
 
@@ -119,22 +107,22 @@ def train(
     if family == "t":
         nu_mode = "estimate" if (isinstance(nu, str) and nu == "estimate") else "fixed"
 
+    if family == "normal":
+        fit, config = mxvn_fit, FitConfig(tolerance, max_iter, structure)
+    else:
+        fit, config = mxvt_fit, EcmeConfig(tolerance, max_iter, structure, nu=nu)
     if pooled:
-        groups = _fit_pooled(
-            stacks, family, nu, structure, tolerance, max_iter
-        )
+        res = fit(stacks, config)
+        _warn_unconverged("pooled", res)
+        groups = res.params
     else:
         groups = []
         for lab, stack in zip(labels, stacks):
             try:
-                if family == "normal":
-                    res = mxvn_fit(stack, FitConfig(tolerance, max_iter, structure))
-                else:
-                    res = mxvt_fit(
-                        stack, EcmeConfig(tolerance, max_iter, structure, nu=nu)
-                    )
+                res = fit(stack, config)
             except EstimationError as exc:
                 raise EstimationError(f"group {lab}: {exc}") from exc
+            _warn_unconverged(f"group {lab}", res)
             groups.append(res.params)
 
     ll = 0.0
@@ -164,110 +152,11 @@ def train(
     )
 
 
-def _fit_pooled(stacks, family, nu, structure, tolerance, max_iter):
-    """Common-scatter training: group means alternate with pooled scatter sweeps."""
-    p, q = stacks[0].p, stacks[0].q
-    N = sum(s.n for s in stacks)
-    Sigma, Omega = np.eye(p), np.eye(q)
-    means = [s.data.mean(axis=0) for s in stacks]
-    estimate = family == "t" and isinstance(nu, str) and nu == "estimate"
-    nu_val = 10.0 if estimate else (float(nu) if family == "t" else np.inf)
-
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        if family == "normal":
-            sigma_inv = np.linalg.solve(Sigma, np.eye(p))
-            B = np.zeros((p, p))
-            for g, s in enumerate(stacks):
-                if structure.mean != MeanStructure.FREE:
-                    means[g] = constrained_mean(
-                        s.n * sigma_inv, sigma_inv @ s.data.sum(axis=0),
-                        Omega, structure.mean, p, q,
-                    )
-                else:
-                    means[g] = s.data.mean(axis=0)
-            Lo = safe_cholesky(Omega, "column scatter")
-            for g, s in enumerate(stacks):
-                D = s.data - means[g]
-                W = solve_lower_batch(Lo, D.transpose(0, 2, 1))
-                B += np.einsum("nki,nkj->nij", W, W).sum(axis=0)
-            Sigma = update_scatter_inverse(
-                symmetrize(B), N * q / 2.0, structure.row_scatter, p
-            )
-            Ls = safe_cholesky(Sigma, "row scatter")
-            A = np.zeros((q, q))
-            for g, s in enumerate(stacks):
-                V = solve_lower_batch(Ls, s.data - means[g])
-                A += np.einsum("nki,nkj->nij", V, V).sum(axis=0)
-            Omega = update_scatter_inverse(
-                symmetrize(A), N * p / 2.0, structure.col_scatter, q
-            )
-            ll = sum(
-                float(mxvn_logpdf(s.data, MxvnParams(means[g], Sigma, Omega)).sum())
-                for g, s in enumerate(stacks)
-            )
-        else:
-            stats = [
-                estep(s, MxvtParams(nu_val, means[g], Sigma, Omega), z_form=False)
-                for g, s in enumerate(stacks)
-            ]
-            s_s_all = np.zeros((p, p))
-            A = np.zeros((q, q))
-            for g, (s, st) in enumerate(zip(stacks, stats)):
-                s_s, s_sx, s_xsx = st.s_form()
-                means[g] = constrained_mean(s_s, s_sx, Omega, structure.mean, p, q)
-                M = means[g]
-                A += s_xsx - s_sx.T @ M - M.T @ s_sx + M.T @ s_s @ M
-                s_s_all += s_s
-            Omega = update_scatter_inverse(
-                symmetrize(A), N * p / 2.0, structure.col_scatter, q
-            )
-            safe_cholesky(Omega, "column scatter")
-            if structure.row_scatter == ScatterStructure.FREE:
-                Sigma = symmetrize(
-                    N * (nu_val + p - 1) * np.linalg.inv(s_s_all)
-                )
-            else:
-                from .structures import structured_scatter_direct
-
-                Sigma = structured_scatter_direct(
-                    s_s_all, N * (nu_val + p - 1) / 2.0, structure.row_scatter, p
-                ).full()
-            safe_cholesky(Sigma, "row scatter")
-
-            _, logdet_s = cholesky_logdet(Sigma)
-            _, logdet_o = cholesky_logdet(Omega)
-            sums = []
-            for g, s in enumerate(stacks):
-                _, ldc = t_bracket(
-                    s.data, MxvtParams(max(nu_val, 1.0), means[g], Sigma, Omega)
-                )
-                sums.append((s.n, float(ldc.sum())))
-            ll_of = lambda v: sum(
-                _obs_loglik_from_bracket(v, n_g, p, q, logdet_s, logdet_o, sc)
-                for n_g, sc in sums
-            )
-            if estimate:
-                res = minimize_scalar(
-                    lambda v: -ll_of(v), bounds=(2.0 + 1e-9, 1000.0 - 1e-9),
-                    method="bounded", options={"xatol": 1e-6},
-                )
-                nu_val = float(res.x)
-            ll = float(ll_of(nu_val))
-
-        if _relative_change(ll, prev_ll) < tolerance:
-            break
-        prev_ll = ll
-
-    out = []
-    for g in range(len(stacks)):
-        if family == "normal":
-            out.append(normalize_identifiability(MxvnParams(means[g], Sigma, Omega)))
-        else:
-            out.append(
-                normalize_identifiability(MxvtParams(nu_val, means[g], Sigma, Omega))
-            )
-    return out
+def _warn_unconverged(who, res):
+    """One warning for a fit that stopped at max_iter or with nu on a bound."""
+    if res.nu_at_bound or not res.converged:
+        why = "nu ended on a bound" if res.nu_at_bound else "did not converge"
+        logger.warning("%s fit: %s after %d iterations", who, why, res.iterations)
 
 
 def _normal_closed_scores(model, X):

@@ -263,16 +263,6 @@ class CsMatrix:
         return (a * np.eye(d) + b * np.ones((d, d))) / self.scale
 
 
-def ar1_full(m):
-    """Materialize an :class:`Ar1Matrix` as a dense symmetric array."""
-    return m.full()
-
-
-def cs_full(m):
-    """Materialize a :class:`CsMatrix` as a dense symmetric array."""
-    return m.full()
-
-
 # ---------------------------------------------------------------------------
 # matrix-stack text format
 

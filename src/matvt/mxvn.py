@@ -3,7 +3,8 @@
 The mean and the two scatter matrices are updated in turn, each update an
 exact conditional maximization, so the observed log-likelihood never
 decreases across sweeps.  Optional structure constraints restrict the mean
-and/or either scatter matrix.
+and/or either scatter matrix.  Several groups can be fitted together, each
+with its own mean and all sharing Sigma and Omega.
 """
 
 import warnings
@@ -15,7 +16,6 @@ from .datamodel import (
     MatrixStack,
     MeanStructure,
     MxvnParams,
-    ScatterStructure,
     StructureSpec,
     normalize_identifiability,
 )
@@ -71,24 +71,50 @@ def _relative_change(new, old):
     return abs(new - old) / (abs(old) + 1.0)
 
 
+def as_groups(data):
+    """Return ``(groups, single)`` for a fitter's ``data`` argument.
+
+    A list or tuple of :class:`MatrixStack` is a set of groups that get
+    their own means and share the scatter matrices; anything else is read
+    as one stack, and ``single`` is True.
+    """
+    if isinstance(data, (list, tuple)) and data and all(
+        isinstance(g, MatrixStack) for g in data
+    ):
+        if len({(g.p, g.q) for g in data}) != 1:
+            raise ValueError("all groups must hold matrices of one shape")
+        return list(data), False
+    if not isinstance(data, MatrixStack):
+        data = MatrixStack(np.asarray(data))
+    return [data], True
+
+
+def _whitened_gram(L, D):
+    """sum_i (L^-1 D_i)^T (L^-1 D_i) over a stack D."""
+    W = solve_lower_batch(L, D)
+    return np.einsum("nki,nkj->nij", W, W).sum(axis=0)
+
+
 def mxvn_fit(data, config=None):
     """Fit a matrix-variate normal by the flip-flop algorithm.
 
-    Returns a :class:`FitResult` whose parameters satisfy the
-    Sigma[0,0] = 1 identifiability normalization (applied once at the end;
-    the density is invariant to when it is applied).
+    ``data`` is one stack, or a list of group stacks that get one mean
+    each and share Sigma and Omega; ``params`` of the result is then the
+    list of per-group parameters.  Parameters satisfy the Sigma[0,0] = 1
+    identifiability normalization (applied once at the end; the density is
+    invariant to when it is applied).
     """
-    if not isinstance(data, MatrixStack):
-        data = MatrixStack(np.asarray(data))
+    groups, single = as_groups(data)
     config = config or FitConfig()
     structure = config.structure
-    n, p, q = data.n, data.p, data.q
-    check_sample_size(n, p, q, structure)
+    p, q = groups[0].p, groups[0].q
+    n = sum(g.n for g in groups)
+    # each group's mean uses up one observation
+    check_sample_size(n - len(groups) + 1, p, q, structure)
 
-    X = data.data
     Sigma = np.eye(p)
     Omega = np.eye(q)
-    M = X.mean(axis=0)
+    means = [g.data.mean(axis=0) for g in groups]
 
     trace = []
     prev_ll = -np.inf
@@ -98,32 +124,37 @@ def mxvn_fit(data, config=None):
         if structure.mean != MeanStructure.FREE:
             # weighted statistics with S_i = Sigma^-1
             sigma_inv = np.linalg.solve(Sigma, np.eye(p))
-            M = constrained_mean(
-                n * sigma_inv, sigma_inv @ X.sum(axis=0), Omega, structure.mean, p, q
-            )
-        D = X - M
+            means = [
+                constrained_mean(
+                    g.n * sigma_inv, sigma_inv @ g.data.sum(axis=0), Omega,
+                    structure.mean, p, q,
+                )
+                for g in groups
+            ]
+        diffs = [g.data - M for g, M in zip(groups, means)]
 
         Lo = safe_cholesky(Omega, "column scatter")
-        W = solve_lower_batch(Lo, D.transpose(0, 2, 1))       # L_O^-1 D^T
-        B = symmetrize(np.einsum("nki,nkj->nij", W, W).sum(axis=0))
+        B = symmetrize(sum(_whitened_gram(Lo, D.transpose(0, 2, 1)) for D in diffs))
         Sigma = update_scatter_inverse(B, n * q / 2.0, structure.row_scatter, p)
 
         Ls = safe_cholesky(Sigma, "row scatter")
-        V = solve_lower_batch(Ls, D)                          # L_S^-1 D
-        A = symmetrize(np.einsum("nki,nkj->nij", V, V).sum(axis=0))
+        A = symmetrize(sum(_whitened_gram(Ls, D) for D in diffs))
         Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
         safe_cholesky(Omega, "column scatter")
 
-        ll = float(mxvn_logpdf(X, MxvnParams(M, Sigma, Omega)).sum())
+        ll = sum(
+            float(mxvn_logpdf(g.data, MxvnParams(M, Sigma, Omega)).sum())
+            for g, M in zip(groups, means)
+        )
         trace.append(ll)
         if _relative_change(ll, prev_ll) < config.tolerance:
             converged = True
             break
         prev_ll = ll
 
-    params = normalize_identifiability(MxvnParams(M, Sigma, Omega))
+    params = [normalize_identifiability(MxvnParams(M, Sigma, Omega)) for M in means]
     return FitResult(
-        params=params,
+        params=params[0] if single else params,
         log_lik=trace[-1],
         iterations=iterations,
         converged=converged,

@@ -3,10 +3,12 @@
 Each iteration runs an expectation step over the latent Wishart weight
 matrices, a conditional maximization of (M, Sigma, Omega) in closed form,
 and, when the degrees of freedom are estimated, a one-dimensional solve of
-the ML estimating equation against the observed log-likelihood.
+the ML estimating equation against the observed log-likelihood.  Several
+groups can be fitted together: each keeps its own mean and all share
+Sigma, Omega and nu (the pooled discriminant model).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -20,9 +22,8 @@ from .datamodel import (
     normalize_identifiability,
 )
 from .distributions import t_bracket
-from .errors import EstimationError
 from .linalg import cholesky_logdet, safe_cholesky, symmetrize
-from .mxvn import FitConfig, FitResult, _relative_change, check_sample_size
+from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_sample_size
 from .specfun import lmvgamma, mvdigamma
 from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
 
@@ -55,13 +56,13 @@ class EcmeConfig(FitConfig):
 
 @dataclass
 class SufficientStats:
-    """Accumulated E-step statistics.
+    """Accumulated E-step statistics of one stack.
 
-    With ``z_form=True`` the matrix statistics have kappa = nu + p + q - 1
-    factored out (the form used by the degrees-of-freedom solver);
-    otherwise they are the plain sums over the expected weight matrices.
-    ``s_logdet`` is always the accumulated expected log-determinant and
-    ``sum_logdet_z`` the sum of log|Z_i| regardless of the flag.
+    The matrix statistics are the sums over the expected weight matrices
+    with kappa = nu + p + q - 1 factored out (the form the degrees-of-freedom
+    solver uses); multiply by ``kappa`` for the plain sums.  ``s_logdet`` is
+    the accumulated expected log-determinant and ``sum_logdet_z`` the sum
+    of log|Z_i|.
     """
 
     s_s: np.ndarray
@@ -69,25 +70,11 @@ class SufficientStats:
     s_xsx: np.ndarray
     s_logdet: float
     kappa: float
-    z_form: bool
     sum_logdet_z: float
     n: int
 
-    def s_form(self):
-        """The statistics with kappa multiplied back in."""
-        if not self.z_form:
-            return self.s_s, self.s_sx, self.s_xsx
-        k = self.kappa
-        return k * self.s_s, k * self.s_sx, k * self.s_xsx
 
-    def z_form_stats(self):
-        if self.z_form:
-            return self.s_s, self.s_sx, self.s_xsx
-        k = self.kappa
-        return self.s_s / k, self.s_sx / k, self.s_xsx / k
-
-
-def estep(data, params, z_form=True):
+def estep(data, params):
     """Expectation step: accumulate the expected weight-matrix statistics.
 
     The per-observation weight is
@@ -104,59 +91,69 @@ def estep(data, params, z_form=True):
     C, logdet_c = t_bracket(data.data, params)
     Z = symmetrize(np.linalg.inv(C))
     X = data.data
-    z_s = Z.sum(axis=0)
-    z_sx = (Z @ X).sum(axis=0)
-    z_xsx = symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X))
     sum_logdet_z = float(-logdet_c.sum())
-    s_logdet = n * (mvdigamma(p, kappa / 2.0) + p * _LOG_2) + sum_logdet_z
-    if z_form:
-        s_s, s_sx, s_xsx = z_s, z_sx, z_xsx
-    else:
-        s_s, s_sx, s_xsx = kappa * z_s, kappa * z_sx, kappa * z_xsx
     return SufficientStats(
-        s_s=s_s,
-        s_sx=s_sx,
-        s_xsx=s_xsx,
-        s_logdet=s_logdet,
+        s_s=Z.sum(axis=0),
+        s_sx=(Z @ X).sum(axis=0),
+        s_xsx=symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X)),
+        s_logdet=n * (mvdigamma(p, kappa / 2.0) + p * _LOG_2) + sum_logdet_z,
         kappa=kappa,
-        z_form=z_form,
         sum_logdet_z=sum_logdet_z,
         n=n,
     )
 
 
-def cme1(stats, nu, n, p, q, structure=None, prev_omega=None):
-    """First conditional maximization: update (M, Sigma, Omega).
+def _pool_stats(stats):
+    """The statistics of several groups taken at one nu, added up."""
+    return SufficientStats(
+        s_s=sum(st.s_s for st in stats),
+        s_sx=sum(st.s_sx for st in stats),
+        s_xsx=sum(st.s_xsx for st in stats),
+        s_logdet=sum(st.s_logdet for st in stats),
+        kappa=stats[0].kappa,
+        sum_logdet_z=sum(st.sum_logdet_z for st in stats),
+        n=sum(st.n for st in stats),
+    )
 
-    Unconstrained updates are the closed forms in the sufficient
-    statistics; constrained means use their closed forms (weighted by the
-    previous column scatter where one is required) and structured scatter
-    matrices are fitted by the 1-D profile search.
+
+def cme1(stats, nu, n, p, q, structure=None, prev_omega=None):
+    """First conditional maximization: update the means, Sigma and Omega.
+
+    ``stats`` holds one :class:`SufficientStats` per group, all taken at
+    ``nu``, and ``n`` is the number of observations in all of them.  Each
+    group gets its own mean; Sigma and Omega are shared.  Unconstrained
+    updates are the closed forms in the sufficient statistics; constrained
+    means use their closed forms (weighted by the previous column scatter
+    where one is required) and structured scatter matrices are fitted by
+    the 1-D profile search.  Returns ``(means, Sigma, Omega)``.
     """
     structure = structure or StructureSpec()
-    s_s, s_sx, s_xsx = stats.s_form()
-
-    if structure.mean == MeanStructure.FREE:
-        M = np.linalg.solve(s_s, s_sx)
-        A = symmetrize(s_xsx - s_sx.T @ M)
-    else:
-        omega_w = prev_omega if prev_omega is not None else np.eye(q)
-        M = constrained_mean(s_s, s_sx, omega_w, structure.mean, p, q)
-        A = symmetrize(
-            s_xsx - s_sx.T @ M - M.T @ s_sx + M.T @ s_s @ M
-        )
+    omega_w = prev_omega if prev_omega is not None else np.eye(q)
+    means, A, s_s_all = [], 0, 0
+    for st in stats:
+        k = st.kappa
+        s_s, s_sx, s_xsx = k * st.s_s, k * st.s_sx, k * st.s_xsx
+        if structure.mean == MeanStructure.FREE:
+            M = np.linalg.solve(s_s, s_sx)
+            A = A + (s_xsx - s_sx.T @ M)
+        else:
+            M = constrained_mean(s_s, s_sx, omega_w, structure.mean, p, q)
+            A = A + (s_xsx - s_sx.T @ M - M.T @ s_sx + M.T @ s_s @ M)
+        means.append(M)
+        s_s_all = s_s_all + s_s
+    A = symmetrize(A)
 
     Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
     safe_cholesky(Omega, "column scatter")
 
     if structure.row_scatter == ScatterStructure.FREE:
-        Sigma = symmetrize(n * (nu + p - 1) * np.linalg.inv(s_s))
+        Sigma = symmetrize(n * (nu + p - 1) * np.linalg.inv(s_s_all))
     else:
         Sigma = structured_scatter_direct(
-            s_s, n * (nu + p - 1) / 2.0, structure.row_scatter, p
+            s_s_all, n * (nu + p - 1) / 2.0, structure.row_scatter, p
         ).full()
     safe_cholesky(Sigma, "row scatter")
-    return M, Sigma, Omega
+    return means, Sigma, Omega
 
 
 def nu_estimating_function(nu, stats, n, p, q):
@@ -167,8 +164,7 @@ def nu_estimating_function(nu, stats, n, p, q):
     in nu and negative where the profile still rises.
     """
     kappa = nu + p + q - 1
-    z_s, _, _ = stats.z_form_stats()
-    _, logdet_zs = cholesky_logdet(z_s)
+    _, logdet_zs = cholesky_logdet(stats.s_s)
     return (
         mvdigamma(p, (nu + p - 1) / 2.0)
         - mvdigamma(p, kappa / 2.0)
@@ -178,14 +174,13 @@ def nu_estimating_function(nu, stats, n, p, q):
     )
 
 
-def solve_nu(stats, sigma_hat, n, p, q, bounds=(2.0, 1000.0), tol=1e-6):
+def solve_nu(stats, n, p, q, bounds=(2.0, 1000.0), tol=1e-6):
     """Solve the degrees-of-freedom estimating equation on ``bounds``.
 
     Returns ``(nu, interior)``; when the estimating function has no sign
     change in the interval, the boundary with the higher objective is
-    returned and ``interior`` is False.  ``sigma_hat`` is accepted for
-    interface completeness (the factored equation already encodes the
-    conditional Sigma update).
+    returned and ``interior`` is False.  The factored equation already
+    encodes the conditional Sigma update.
     """
     lo, hi = bounds
     eps = 1e-9 * (hi - lo)
@@ -215,6 +210,10 @@ def _obs_loglik_from_bracket(nu, n, p, q, logdet_s, logdet_o, sum_logdet_c):
 def mxvt_fit(data, config=None):
     """Fit the matrix-variate t by ECME.
 
+    ``data`` is one stack, or a list of group stacks that get one mean
+    each and share Sigma, Omega and nu; ``params`` of the result is then
+    the list of per-group parameters.
+
     When ``config.nu == "estimate"``, the second CM step solves the
     estimating equation and keeps the candidate only if it does not lower
     the observed log-likelihood (falling back on a direct bounded search
@@ -224,23 +223,22 @@ def mxvt_fit(data, config=None):
     A nu estimate landing on a bound is reported with ``converged=False``
     and ``nu_at_bound=True`` rather than raising.
     """
-    if not isinstance(data, MatrixStack):
-        data = MatrixStack(np.asarray(data))
+    groups, single = as_groups(data)
     config = config or EcmeConfig()
     if not isinstance(config, EcmeConfig):
         raise TypeError("mxvt_fit needs an EcmeConfig")
     structure = config.structure
-    n, p, q = data.n, data.p, data.q
-    check_sample_size(n, p, q, structure)
+    p, q = groups[0].p, groups[0].q
+    n = sum(g.n for g in groups)
+    # each group's mean uses up one observation
+    check_sample_size(n - len(groups) + 1, p, q, structure)
 
     estimate = config.estimate_nu
     lo, hi = config.nu_bounds
     nu = 10.0 if estimate else float(config.nu)
     nu = min(max(nu, lo + 1e-3), hi - 1e-3) if estimate else nu
-    X = data.data
-    M = X.mean(axis=0)
     Sigma, Omega = np.eye(p), np.eye(q)
-    params = MxvtParams(nu, M, Sigma, Omega)
+    params = [MxvtParams(nu, g.data.mean(axis=0), Sigma, Omega) for g in groups]
 
     trace = []
     prev_ll = -np.inf
@@ -248,22 +246,24 @@ def mxvt_fit(data, config=None):
     nu_interior = True
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        stats = estep(data, params, z_form=True)
-        M, Sigma, Omega = cme1(
-            stats, nu, n, p, q, structure, prev_omega=params.Omega
+        stats = [estep(g, prm) for g, prm in zip(groups, params)]
+        means, Sigma, Omega = cme1(
+            stats, nu, n, p, q, structure, prev_omega=Omega
         )
 
         _, logdet_s = cholesky_logdet(Sigma)
         _, logdet_o = cholesky_logdet(Omega)
-        _, logdet_c = t_bracket(X, MxvtParams(max(nu, 1.0), M, Sigma, Omega))
-        sum_logdet_c = float(logdet_c.sum())
+        sum_logdet_c = sum(
+            float(t_bracket(g.data, MxvtParams(max(nu, 1.0), M, Sigma, Omega))[1].sum())
+            for g, M in zip(groups, means)
+        )
         ll_of = lambda v: _obs_loglik_from_bracket(
             v, n, p, q, logdet_s, logdet_o, sum_logdet_c
         )
 
         if estimate:
             cand, nu_interior = solve_nu(
-                stats, Sigma, n, p, q, config.nu_bounds, config.nu_solver_tol
+                _pool_stats(stats), n, p, q, config.nu_bounds, config.nu_solver_tol
             )
             if ll_of(cand) < ll_of(nu):
                 # exact Either step: maximize the observed log-likelihood
@@ -277,7 +277,7 @@ def mxvt_fit(data, config=None):
                 nu_interior = lo + 1e-6 < cand < hi - 1e-6
             nu = cand
 
-        params = MxvtParams(nu, M, Sigma, Omega)
+        params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
         ll = float(ll_of(nu))
         trace.append(ll)
         if _relative_change(ll, prev_ll) < config.tolerance:
@@ -286,9 +286,9 @@ def mxvt_fit(data, config=None):
         prev_ll = ll
 
     at_bound = estimate and not nu_interior
-    params = normalize_identifiability(params)
+    params = [normalize_identifiability(prm) for prm in params]
     return FitResult(
-        params=params,
+        params=params[0] if single else params,
         log_lik=trace[-1],
         iterations=iterations,
         converged=converged and not at_bound,

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matvt.classify import (
     bic,
@@ -19,6 +22,8 @@ from matvt.datamodel import (
 )
 from matvt.distributions import mxvn_logpdf, sample_mxvn, sample_mxvt
 from matvt.errors import EstimationError
+from matvt.mxvn import FitConfig, mxvn_fit
+from matvt.mxvt import EcmeConfig, mxvt_fit
 
 from conftest import random_spd
 
@@ -99,6 +104,103 @@ def test_train_input_validation(rng):
         train(data.subset(data.labels == 0))  # one group
     with pytest.raises(ValueError):
         train(data, family="gaussian")
+
+
+# ---------------------------------------------------------------------------
+# shared-scatter fits: a list of group stacks through mxvn_fit / mxvt_fit
+
+
+def _group_stacks(data):
+    return [s for _, s in data.groups()]
+
+
+def test_one_group_list_matches_bare_stack(rng):
+    data = _two_group_data(rng, "t", n=60, nu=6.0, seed=14).subset(np.arange(60))
+    for fit, config in ((mxvn_fit, FitConfig()), (mxvt_fit, EcmeConfig())):
+        bare = fit(data, config)
+        listed = fit([data], config)
+        (prm,) = listed.params
+        for name in ("M", "Sigma", "Omega"):
+            np.testing.assert_array_equal(getattr(prm, name), getattr(bare.params, name))
+        assert getattr(prm, "nu", None) == getattr(bare.params, "nu", None)
+        assert listed.log_lik == bare.log_lik
+        assert listed.iterations == bare.iterations
+        assert listed.converged == bare.converged
+        np.testing.assert_array_equal(listed.log_lik_trace, bare.log_lik_trace)
+
+
+def test_group_list_validation(rng):
+    with pytest.raises(ValueError):
+        mxvn_fit([MatrixStack(np.zeros((5, 2, 3))), MatrixStack(np.zeros((5, 3, 2)))])
+    # two groups of 2 at p = q = 2 count as one stack of 3 <= 4 = p/q + q/p + 2
+    small = [MatrixStack(rng.standard_normal((2, 2, 2))) for _ in range(2)]
+    for fit in (mxvn_fit, mxvt_fit):
+        with pytest.raises(EstimationError):
+            fit(small)
+
+
+def test_pooled_fits_are_monotone(rng):
+    data = _two_group_data(rng, "t", n=80, nu=5.0, seed=15)
+    for fit, config in ((mxvn_fit, FitConfig()), (mxvt_fit, EcmeConfig())):
+        res = fit(_group_stacks(data), config)
+        assert res.converged
+        ll = res.log_lik_trace
+        assert np.all(np.diff(ll) >= -1e-8 * (1.0 + np.abs(ll[:-1])))
+
+
+def test_pooled_t_respects_nu_bounds(rng):
+    data = _two_group_data(rng, "t", n=150, nu=8.0, seed=16)
+    res = mxvt_fit(_group_stacks(data), EcmeConfig(nu_bounds=(2.0, 4.0)))
+    assert res.nu_at_bound and not res.converged
+    assert all(prm.nu == pytest.approx(4.0, abs=1e-5) for prm in res.params)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_groups=st.integers(2, 3),
+    nu=st.sampled_from([None, 6.0, "estimate"]),
+)
+def test_pooled_fit_ignores_group_order(seed, n_groups, nu):
+    gen = np.random.default_rng(seed)
+    p, q = 2, 3
+    Sigma, Omega = random_spd(gen, p), random_spd(gen, q)
+    stacks = []
+    for g in range(n_groups):
+        M = 2.0 * gen.standard_normal((p, q))
+        n = int(gen.integers(10, 40))
+        if nu is None:
+            stacks.append(sample_mxvn(MxvnParams(M, Sigma, Omega), n, seed=seed, stream=g))
+        else:
+            stacks.append(sample_mxvt(MxvtParams(6.0, M, Sigma, Omega), n, seed=seed, stream=g))
+    fit, config = (mxvn_fit, FitConfig()) if nu is None else (mxvt_fit, EcmeConfig(nu=nu))
+    fwd = fit(stacks, config)
+    rev = fit(stacks[::-1], config)
+    # an estimated nu comes from the bounded search over the observed
+    # log-likelihood, which places it only to about sqrt(machine epsilon):
+    # the rounding of the reordered sums moves it, and the fit with it,
+    # by up to about 1e-8
+    rtol = 1e-6 if nu == "estimate" else 1e-9
+    close = lambda a, b: np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
+    close(rev.log_lik, fwd.log_lik)
+    for a, b in zip(fwd.params, rev.params[::-1]):
+        close(a.M, b.M)
+        close(a.Sigma, b.Sigma)
+        close(a.Omega, b.Omega)
+        if nu is not None:
+            close(a.nu, b.nu)
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_train_warns_when_a_fit_stops_early(rng, caplog, pooled):
+    data = _two_group_data(rng, "t", n=40, nu=6.0, seed=17)
+    with caplog.at_level(logging.WARNING, logger="matvt.classify"):
+        train(data, family="t", pooled=pooled, max_iter=1)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    expected = ["pooled"] if pooled else ["group 0", "group 1"]
+    assert len(warned) == len(expected)
+    for who, msg in zip(expected, warned):
+        assert msg.startswith(who)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +306,6 @@ def test_bic_selects_true_structure(rng):
 
 def test_loocv_counts_refits(rng, caplog):
     data = _two_group_data(rng, "normal", n=10, seed=13)
-    import logging
-
     with caplog.at_level(logging.INFO, logger="matvt.classify"):
         err, preds, n_refits = loocv(data, family="normal")
     assert n_refits == 20

@@ -39,15 +39,16 @@ def test_estep_weight_matrix_definition(rng):
     params = _true_params(rng, p=2, q=3, nu=5.0)
     data = sample_mxvt(params, 20, seed=1)
     kappa = params.nu + params.p + params.q - 1
-    stats = estep(data, params, z_form=False)
+    stats = estep(data, params)
+    assert stats.kappa == kappa
     C, _ = t_bracket(data.data, params)
     S = kappa * np.linalg.inv(C)
-    np.testing.assert_allclose(stats.s_s, S.sum(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(kappa * stats.s_s, S.sum(axis=0), rtol=1e-10)
     np.testing.assert_allclose(
-        stats.s_sx, np.einsum("nij,njk->ik", S, data.data), rtol=1e-10
+        kappa * stats.s_sx, np.einsum("nij,njk->ik", S, data.data), rtol=1e-10
     )
     np.testing.assert_allclose(
-        stats.s_xsx,
+        kappa * stats.s_xsx,
         np.einsum("nji,njk,nkl->il", data.data, S, data.data),
         rtol=1e-10,
     )
@@ -60,21 +61,11 @@ def test_estep_scalar_weight(rng):
         nu=nu, M=np.array([[m]]), Sigma=np.array([[sigma]]), Omega=np.array([[omega]])
     )
     x = np.array([[[1.7]], [[-0.4]]])
-    stats = estep(x, params, z_form=False)
+    stats = estep(x, params)
     w = (nu + 1.0) / ((x[:, 0, 0] - m) ** 2 / omega + sigma)
-    assert stats.s_s[0, 0] == pytest.approx(w.sum(), rel=1e-12)
-    assert stats.s_sx[0, 0] == pytest.approx((w * x[:, 0, 0]).sum(), rel=1e-12)
-
-
-def test_estep_z_and_s_forms_agree(rng):
-    params = _true_params(rng)
-    data = sample_mxvt(params, 15, seed=2)
-    z = estep(data, params, z_form=True)
-    s = estep(data, params, z_form=False)
-    np.testing.assert_allclose(z.s_form()[0], s.s_s, rtol=1e-12)
-    np.testing.assert_allclose(s.z_form_stats()[2], z.s_xsx, rtol=1e-12)
-    assert z.s_logdet == pytest.approx(s.s_logdet, rel=1e-12)
-    assert z.sum_logdet_z == pytest.approx(s.sum_logdet_z, rel=1e-12)
+    k = stats.kappa
+    assert k * stats.s_s[0, 0] == pytest.approx(w.sum(), rel=1e-12)
+    assert k * stats.s_sx[0, 0] == pytest.approx((w * x[:, 0, 0]).sum(), rel=1e-12)
 
 
 def test_estep_expected_logdet_against_wishart_mc():
@@ -111,8 +102,9 @@ def test_cme1_unconstrained_closed_forms(rng):
     data = sample_mxvt(params, 60, seed=4)
     n, p, q = data.n, data.p, data.q
     stats = estep(data, params)
-    M, Sigma, Omega = cme1(stats, params.nu, n, p, q)
-    s_s, s_sx, s_xsx = stats.s_form()
+    (M,), Sigma, Omega = cme1([stats], params.nu, n, p, q)
+    k = stats.kappa
+    s_s, s_sx, s_xsx = k * stats.s_s, k * stats.s_sx, k * stats.s_xsx
     np.testing.assert_allclose(M, np.linalg.solve(s_s, s_sx), rtol=1e-10)
     np.testing.assert_allclose(
         Sigma, n * (params.nu + p - 1) * np.linalg.inv(s_s), rtol=1e-10
@@ -126,10 +118,10 @@ def test_cme1_constant_mean(rng):
     data = sample_mxvt(params, 40, seed=5)
     stats = estep(data, params)
     spec = StructureSpec(mean=MeanStructure.CONSTANT)
-    M, _, _ = cme1(stats, params.nu, data.n, 2, 2, spec, prev_omega=params.Omega)
+    (M,), _, _ = cme1([stats], params.nu, data.n, 2, 2, spec, prev_omega=params.Omega)
     assert np.ptp(M) == pytest.approx(0.0, abs=1e-14)
     # the scalar solves the Omega-weighted normal equation
-    s_s, s_sx, _ = stats.s_form()
+    s_s, s_sx = stats.kappa * stats.s_s, stats.kappa * stats.s_sx
     w = np.linalg.solve(params.Omega, np.ones(2))
     mu = (np.ones(2) @ s_sx @ w) / (s_s.sum() * w.sum())
     assert M[0, 0] == pytest.approx(mu, rel=1e-10)
@@ -150,8 +142,8 @@ def test_nu_estimating_function_is_negative_profile_slope(rng):
     vals = [nu_estimating_function(v, stats, n, p, q) for v in grid]
     assert np.all(np.diff(vals) > 0)
 
-    M, _, Omega = cme1(stats, params.nu, n, p, q)
-    z_s, _, _ = stats.z_form_stats()
+    (M,), _, Omega = cme1([stats], params.nu, n, p, q)
+    z_s = stats.s_s
 
     def prof_ll(v):
         kap = v + p + q - 1
@@ -172,13 +164,13 @@ def test_solve_nu_matches_profile_likelihood(rng):
     data = sample_mxvt(params, 200, seed=7)
     n, p, q = data.n, data.p, data.q
     stats = estep(data, params)
-    M, Sigma, Omega = cme1(stats, params.nu, n, p, q)
-    nu_hat, interior = solve_nu(stats, Sigma, n, p, q)
+    (M,), _, Omega = cme1([stats], params.nu, n, p, q)
+    nu_hat, interior = solve_nu(stats, n, p, q)
     assert interior
 
     def obs_ll(v):
         # Sigma rescales with nu through the conditional update
-        z_s, _, _ = stats.z_form_stats()
+        z_s = stats.s_s
         Sig = n * (v + p - 1) / (v + p + q - 1) * np.linalg.inv(z_s)
         return mxvt_logpdf(data.data, MxvtParams(v, M, Sig, Omega)).sum()
 
@@ -192,12 +184,12 @@ def test_solve_nu_boundary_cases(rng):
     data = sample_mxvt(params, 100, seed=8)
     stats = estep(data, params)
     n, p, q = data.n, data.p, data.q
-    nu_root, interior = solve_nu(stats, None, n, p, q)
+    nu_root, interior = solve_nu(stats, n, p, q)
     assert interior and 2.0 < nu_root < 1000.0
     # an interval entirely left of the root -> upper bound, not interior
-    hi, flag_hi = solve_nu(stats, None, n, p, q, bounds=(2.0, nu_root / 2))
+    hi, flag_hi = solve_nu(stats, n, p, q, bounds=(2.0, nu_root / 2))
     assert hi == nu_root / 2 and not flag_hi
-    lo, flag_lo = solve_nu(stats, None, n, p, q, bounds=(nu_root * 2, 1000.0))
+    lo, flag_lo = solve_nu(stats, n, p, q, bounds=(nu_root * 2, 1000.0))
     assert lo == nu_root * 2 and not flag_lo
 
 

@@ -125,15 +125,7 @@ def train(
             _warn_unconverged(f"group {lab}", res)
             groups.append(res.params)
 
-    ll = 0.0
-    for g, stack in enumerate(stacks):
-        dens = (
-            mxvn_logpdf(stack.data, groups[g])
-            if family == "normal"
-            else mxvt_logpdf(stack.data, groups[g])
-        )
-        ll += float(dens.sum()) + stack.n * np.log(eta[g])
-
+    ll = _labeled_loglik(family, groups, eta, stacks)
     k = param_count(structure, data.p, data.q, len(labels), family, nu_mode, pooled)
     if priors == "empirical":
         k += len(labels) - 1
@@ -149,6 +141,15 @@ def train(
         param_count=k,
         bic=model_bic,
         nu_mode=nu_mode,
+    )
+
+
+def _labeled_loglik(family, groups, priors, stacks):
+    """Sum over groups of log f_g(X) + log eta_g on each group's stack."""
+    logpdf = mxvn_logpdf if family == "normal" else mxvt_logpdf
+    return sum(
+        float(logpdf(stack.data, prm).sum()) + stack.n * np.log(eta)
+        for prm, eta, stack in zip(groups, priors, stacks)
     )
 
 
@@ -246,14 +247,8 @@ def bic(model, data):
     """BIC = -2 * labeled train log-likelihood + paramCount * log(n)."""
     if data.labels is None:
         raise EstimationError("BIC needs labeled data")
-    ll = 0.0
-    for g, (lab, stack) in enumerate(data.groups()):
-        dens = (
-            mxvn_logpdf(stack.data, model.groups[g])
-            if model.family == "normal"
-            else mxvt_logpdf(stack.data, model.groups[g])
-        )
-        ll += float(dens.sum()) + stack.n * np.log(model.priors[g])
+    stacks = [s for _, s in data.groups()]
+    ll = _labeled_loglik(model.family, model.groups, model.priors, stacks)
     return -2.0 * ll + model.param_count * np.log(data.n)
 
 

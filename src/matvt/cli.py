@@ -5,7 +5,6 @@ flows from ``--seed``; identical invocations produce byte-identical output
 files.
 """
 
-import json
 import logging
 import sys
 from pathlib import Path
@@ -69,13 +68,11 @@ def cli():
 @click.option("--col-cov", type=click.Choice(_SCATTER_CHOICES), default="free")
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iter", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.pass_context
 def fit(ctx, input_path, family, nu, mean, row_cov, col_cov, tol, max_iter,
-        seed, output_path):
+        output_path):
     """Fit one distribution to a matrix-stack file and write a model file."""
-    del seed  # fitting is deterministic; accepted for interface uniformity
     data = read_matstack(input_path)
     structure = _structure(mean, row_cov, col_cov)
     if family == "normal":

@@ -6,7 +6,7 @@ non-empty line holds ``p*q`` comma-separated decimal values in row-major
 order, followed by one integer class label when ``labeled=1``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np

@@ -12,7 +12,6 @@ X (Fortran order), under which the matrix normal satisfies
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from .datamodel import MatrixStack, MxvtParams
 from .linalg import cholesky_logdet, solve_lower_batch, symmetrize

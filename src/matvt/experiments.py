@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Ar1Matrix, MatrixStack, MxvnParams, MxvtParams
+from .datamodel import Ar1Matrix, MxvnParams, MxvtParams
 from .distributions import make_rng, sample_mxvn, sample_mxvt, sample_wishart
 from .mxvn import FitConfig, mxvn_fit
 from .mxvt import EcmeConfig, mxvt_fit

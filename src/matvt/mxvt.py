@@ -2,8 +2,9 @@
 
 Each iteration runs an expectation step over the latent Wishart weight
 matrices, a conditional maximization of (M, Sigma, Omega) in closed form,
-and, when the degrees of freedom are estimated, a one-dimensional solve of
-the ML estimating equation against the observed log-likelihood.  Several
+and, when the degrees of freedom are estimated, a bounded one-dimensional
+maximization of the observed log-likelihood over nu with (M, Sigma, Omega)
+held at their new values (the ECME step of Liu and Rubin, 1994).  Several
 groups can be fitted together: each keeps its own mean and all share
 Sigma, Omega and nu (the pooled discriminant model).
 """
@@ -11,7 +12,7 @@ Sigma, Omega and nu (the pooled discriminant model).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .datamodel import (
     MatrixStack,
@@ -24,18 +25,22 @@ from .datamodel import (
 from .distributions import t_bracket
 from .linalg import cholesky_logdet, safe_cholesky, symmetrize
 from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_sample_size
-from .specfun import lmvgamma, mvdigamma
+from .specfun import lmvgamma
 from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
 
 _LOG_PI = np.log(np.pi)
-_LOG_2 = np.log(2.0)
 
 NU_ESTIMATE = "estimate"
 
 
 @dataclass(frozen=True)
 class EcmeConfig(FitConfig):
-    """Fit configuration; ``nu`` is either a fixed value or ``"estimate"``."""
+    """Fit configuration; ``nu`` is either a fixed value or ``"estimate"``.
+
+    ``nu_bounds`` is the interval the nu search runs on and
+    ``nu_solver_tol`` its absolute tolerance in nu (``xatol`` of the
+    bounded search).
+    """
 
     nu: object = NU_ESTIMATE
     nu_bounds: tuple = (2.0, 1000.0)
@@ -59,18 +64,14 @@ class SufficientStats:
     """Accumulated E-step statistics of one stack.
 
     The matrix statistics are the sums over the expected weight matrices
-    with kappa = nu + p + q - 1 factored out (the form the degrees-of-freedom
-    solver uses); multiply by ``kappa`` for the plain sums.  ``s_logdet`` is
-    the accumulated expected log-determinant and ``sum_logdet_z`` the sum
-    of log|Z_i|.
+    with kappa = nu + p + q - 1 factored out; multiply by ``kappa`` for the
+    plain sums.
     """
 
     s_s: np.ndarray
     s_sx: np.ndarray
     s_xsx: np.ndarray
-    s_logdet: float
     kappa: float
-    sum_logdet_z: float
     n: int
 
 
@@ -79,40 +80,22 @@ def estep(data, params):
 
     The per-observation weight is
     S_i = kappa * [(X_i - M) Omega^-1 (X_i - M)^T + Sigma]^-1 with
-    kappa = nu + p + q - 1, and
-    E(log|S_i|) = psi_p(kappa/2) + p log 2 + log|S_i / kappa|.
+    kappa = nu + p + q - 1.
     """
     if not isinstance(data, MatrixStack):
         data = MatrixStack(np.asarray(data))
     n, p, q = data.n, data.p, data.q
     if (p, q) != (params.p, params.q):
         raise ValueError(f"data is {p}x{q} but params are {params.p}x{params.q}")
-    kappa = params.nu + p + q - 1
-    C, logdet_c = t_bracket(data.data, params)
+    C, _ = t_bracket(data.data, params)
     Z = symmetrize(np.linalg.inv(C))
     X = data.data
-    sum_logdet_z = float(-logdet_c.sum())
     return SufficientStats(
         s_s=Z.sum(axis=0),
         s_sx=(Z @ X).sum(axis=0),
         s_xsx=symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X)),
-        s_logdet=n * (mvdigamma(p, kappa / 2.0) + p * _LOG_2) + sum_logdet_z,
-        kappa=kappa,
-        sum_logdet_z=sum_logdet_z,
+        kappa=params.nu + p + q - 1,
         n=n,
-    )
-
-
-def _pool_stats(stats):
-    """The statistics of several groups taken at one nu, added up."""
-    return SufficientStats(
-        s_s=sum(st.s_s for st in stats),
-        s_sx=sum(st.s_sx for st in stats),
-        s_xsx=sum(st.s_xsx for st in stats),
-        s_logdet=sum(st.s_logdet for st in stats),
-        kappa=stats[0].kappa,
-        sum_logdet_z=sum(st.sum_logdet_z for st in stats),
-        n=sum(st.n for st in stats),
     )
 
 
@@ -156,42 +139,28 @@ def cme1(stats, nu, n, p, q, structure=None, prev_omega=None):
     return means, Sigma, Omega
 
 
-def nu_estimating_function(nu, stats, n, p, q):
-    """The factored ML estimating equation for the degrees of freedom.
+def solve_nu(ll_of, nu, bounds=(2.0, 1000.0), tol=1e-6):
+    """Maximize the observed log-likelihood ``ll_of`` over nu on ``bounds``.
 
-    Zero at the conditional ML estimate of nu.  Proportional to the
-    negative derivative of the profile log-likelihood, so it is increasing
-    in nu and negative where the profile still rises.
-    """
-    kappa = nu + p + q - 1
-    _, logdet_zs = cholesky_logdet(stats.s_s)
-    return (
-        mvdigamma(p, (nu + p - 1) / 2.0)
-        - mvdigamma(p, kappa / 2.0)
-        - stats.sum_logdet_z / n
-        - p * np.log(n * (nu + p - 1) / kappa)
-        + logdet_zs
-    )
-
-
-def solve_nu(stats, n, p, q, bounds=(2.0, 1000.0), tol=1e-6):
-    """Solve the degrees-of-freedom estimating equation on ``bounds``.
-
-    Returns ``(nu, interior)``; when the estimating function has no sign
-    change in the interval, the boundary with the higher objective is
-    returned and ``interior`` is False.  The factored equation already
-    encodes the conditional Sigma update.
+    ``ll_of`` is the log-likelihood as a function of nu alone, with the
+    other parameters fixed, and ``nu`` the current value, which is kept
+    when the search does not beat it.  Returns ``(nu, interior)``, where
+    ``interior`` is False for a value on a bound.
     """
     lo, hi = bounds
-    eps = 1e-9 * (hi - lo)
-    g = lambda v: nu_estimating_function(v, stats, n, p, q)
-    g_lo, g_hi = g(lo + eps), g(hi - eps)
-    if g_lo < 0 < g_hi:
-        root = brentq(g, lo + eps, hi - eps, xtol=tol * 1e-3, rtol=8.9e-16)
-        return float(root), True
-    # g is the negative profile slope: all-negative means the objective
-    # still rises at the top, all-positive that it falls from lo
-    return (hi, False) if g_hi < 0 else (lo, False)
+    res = minimize_scalar(
+        lambda v: -ll_of(v), bounds=bounds, method="bounded", options={"xatol": tol}
+    )
+    cand, best = float(res.x), -float(res.fun)
+    # the search stops about sqrt(eps) * hi short of a bound; ll_of is
+    # strictly concave in nu, so a bound that does no worse is the maximum
+    edge = lo if cand - lo < hi - cand else hi
+    ll_edge = ll_of(edge)
+    if ll_edge >= best:
+        cand, best = edge, ll_edge
+    if best < ll_of(nu):
+        cand = nu
+    return cand, lo < cand < hi
 
 
 def _obs_loglik_from_bracket(nu, n, p, q, logdet_s, logdet_o, sum_logdet_c):
@@ -214,11 +183,10 @@ def mxvt_fit(data, config=None):
     each and share Sigma, Omega and nu; ``params`` of the result is then
     the list of per-group parameters.
 
-    When ``config.nu == "estimate"``, the second CM step solves the
-    estimating equation and keeps the candidate only if it does not lower
-    the observed log-likelihood (falling back on a direct bounded search
-    otherwise, which is the exact Either step), so the log-likelihood trace
-    is non-decreasing.  When nu is fixed the second CM step is skipped.
+    When ``config.nu == "estimate"``, the second CM step maximizes the
+    observed log-likelihood over nu by :func:`solve_nu` and never lowers
+    it, so the log-likelihood trace is non-decreasing.  When nu is fixed
+    the second CM step is skipped.
 
     A nu estimate landing on a bound is reported with ``converged=False``
     and ``nu_at_bound=True`` rather than raising.
@@ -262,20 +230,7 @@ def mxvt_fit(data, config=None):
         )
 
         if estimate:
-            cand, nu_interior = solve_nu(
-                _pool_stats(stats), n, p, q, config.nu_bounds, config.nu_solver_tol
-            )
-            if ll_of(cand) < ll_of(nu):
-                # exact Either step: maximize the observed log-likelihood
-                res = minimize_scalar(
-                    lambda v: -ll_of(v), bounds=(lo + 1e-9, hi - 1e-9),
-                    method="bounded", options={"xatol": config.nu_solver_tol},
-                )
-                cand = float(res.x)
-                if ll_of(cand) < ll_of(nu):
-                    cand = nu
-                nu_interior = lo + 1e-6 < cand < hi - 1e-6
-            nu = cand
+            nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds, config.nu_solver_tol)
 
         params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
         ll = float(ll_of(nu))

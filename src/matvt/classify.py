@@ -127,7 +127,7 @@ def train(
 
     ll = _labeled_loglik(family, groups, eta, stacks)
     k = param_count(structure, data.p, data.q, len(labels), family, nu_mode, pooled)
-    if priors == "empirical":
+    if isinstance(priors, str) and priors == "empirical":
         k += len(labels) - 1
     model_bic = -2.0 * ll + k * np.log(data.n)
     return ClassifierModel(

@@ -80,22 +80,28 @@ def t_bracket(X, params):
     return C, logdet_c
 
 
+def _mxvt_loglik(nu, p, q, logdet_s, logdet_o, logdet_c, n=1):
+    """Matrix-t log-likelihood from log|Sigma|, log|Omega| and ``logdet_c``:
+    a vector of log|C_i| gives one value each, their sum over ``n`` the total.
+    """
+    kappa = nu + p + q - 1
+    return (
+        n * lmvgamma(p, kappa / 2.0)
+        - n * lmvgamma(p, (nu + p - 1) / 2.0)
+        - 0.5 * n * p * q * _LOG_PI
+        - 0.5 * n * p * logdet_o
+        - 0.5 * n * q * logdet_s
+        - 0.5 * kappa * (logdet_c - n * logdet_s)
+    )
+
+
 def mxvt_logpdf(X, params):
     """Matrix-variate t log-density (scalar for one matrix, vector for a stack)."""
     X, single = _as_batch(X, params.p, params.q)
-    p, q, nu = params.p, params.q, params.nu
-    kappa = nu + p + q - 1
     _, logdet_s = cholesky_logdet(params.Sigma)
     _, logdet_o = cholesky_logdet(params.Omega)
     _, logdet_c = t_bracket(X, params)
-    const = (
-        lmvgamma(p, kappa / 2.0)
-        - lmvgamma(p, (nu + p - 1) / 2.0)
-        - 0.5 * p * q * _LOG_PI
-        - 0.5 * p * logdet_o
-        - 0.5 * q * logdet_s
-    )
-    out = const - 0.5 * kappa * (logdet_c - logdet_s)
+    out = _mxvt_loglik(params.nu, params.p, params.q, logdet_s, logdet_o, logdet_c)
     return out[0] if single else out
 
 

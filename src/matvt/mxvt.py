@@ -7,6 +7,10 @@ maximization of the observed log-likelihood over nu with (M, Sigma, Omega)
 held at their new values (the ECME step of Liu and Rubin, 1994).  Several
 groups can be fitted together: each keeps its own mean and all share
 Sigma, Omega and nu (the pooled discriminant model).
+
+The E-step weights and the log-likelihood share the bracket C_i, which does
+not depend on nu.  It is taken once per group per iteration, after the CM
+step: log|C_i| gives the log-likelihood and C the next iteration's E-step.
 """
 
 from dataclasses import dataclass
@@ -22,29 +26,24 @@ from .datamodel import (
     StructureSpec,
     normalize_identifiability,
 )
-from .distributions import t_bracket
+from .distributions import _mxvt_loglik, t_bracket
 from .linalg import cholesky_logdet, safe_cholesky, symmetrize
 from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_sample_size
-from .specfun import lmvgamma
 from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
 
-_LOG_PI = np.log(np.pi)
-
 NU_ESTIMATE = "estimate"
+
+# xatol of the nu search; the log-likelihood is flat below rounding for nu
+# steps under about sqrt(eps) * nu, so a tighter value only adds noise
+NU_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class EcmeConfig(FitConfig):
-    """Fit configuration; ``nu`` is either a fixed value or ``"estimate"``.
-
-    ``nu_bounds`` is the interval the nu search runs on and
-    ``nu_solver_tol`` its absolute tolerance in nu (``xatol`` of the
-    bounded search).
-    """
+    """Fit configuration; ``nu`` is a fixed value or ``"estimate"`` on ``nu_bounds``."""
 
     nu: object = NU_ESTIMATE
     nu_bounds: tuple = (2.0, 1000.0)
-    nu_solver_tol: float = 1e-6
 
     def __post_init__(self):
         super().__post_init__()
@@ -61,61 +60,61 @@ class EcmeConfig(FitConfig):
 
 @dataclass
 class SufficientStats:
-    """Accumulated E-step statistics of one stack.
+    """Accumulated E-step statistics of one stack of n p-by-q matrices.
 
-    The matrix statistics are the sums over the expected weight matrices
-    with kappa = nu + p + q - 1 factored out; multiply by ``kappa`` for the
-    plain sums.
+    With S_i the expected weight matrix of observation i: ``s_s`` is
+    sum S_i (p x p), ``s_sx`` is sum S_i X_i (p x q) and ``s_xsx`` is
+    sum X_i^T S_i X_i (q x q).
     """
 
     s_s: np.ndarray
     s_sx: np.ndarray
     s_xsx: np.ndarray
-    kappa: float
     n: int
 
 
-def estep(data, params):
+def estep(data, C, nu):
     """Expectation step: accumulate the expected weight-matrix statistics.
 
-    The per-observation weight is
-    S_i = kappa * [(X_i - M) Omega^-1 (X_i - M)^T + Sigma]^-1 with
+    ``C`` is the stack of brackets C_i = (X_i - M) Omega^-1 (X_i - M)^T + Sigma
+    at the current (M, Sigma, Omega), as :func:`t_bracket` returns it, and
+    the per-observation weight is S_i = kappa * C_i^-1 with
     kappa = nu + p + q - 1.
     """
     if not isinstance(data, MatrixStack):
         data = MatrixStack(np.asarray(data))
     n, p, q = data.n, data.p, data.q
-    if (p, q) != (params.p, params.q):
-        raise ValueError(f"data is {p}x{q} but params are {params.p}x{params.q}")
-    C, _ = t_bracket(data.data, params)
+    if C.shape != (n, p, p):
+        raise ValueError(f"brackets are {C.shape} but data needs {(n, p, p)}")
     Z = symmetrize(np.linalg.inv(C))
     X = data.data
+    kappa = nu + p + q - 1
     return SufficientStats(
-        s_s=Z.sum(axis=0),
-        s_sx=(Z @ X).sum(axis=0),
-        s_xsx=symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X)),
-        kappa=params.nu + p + q - 1,
+        s_s=kappa * Z.sum(axis=0),
+        s_sx=kappa * (Z @ X).sum(axis=0),
+        s_xsx=kappa * symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X)),
         n=n,
     )
 
 
-def cme1(stats, nu, n, p, q, structure=None, prev_omega=None):
+def cme1(stats, nu, structure=None, prev_omega=None):
     """First conditional maximization: update the means, Sigma and Omega.
 
     ``stats`` holds one :class:`SufficientStats` per group, all taken at
-    ``nu``, and ``n`` is the number of observations in all of them.  Each
-    group gets its own mean; Sigma and Omega are shared.  Unconstrained
-    updates are the closed forms in the sufficient statistics; constrained
-    means use their closed forms (weighted by the previous column scatter
-    where one is required) and structured scatter matrices are fitted by
-    the 1-D profile search.  Returns ``(means, Sigma, Omega)``.
+    ``nu``, which also give n, p and q.  Each group gets its own mean;
+    Sigma and Omega are shared.  Unconstrained updates are the closed forms
+    in the sufficient statistics; constrained means use their closed forms
+    (weighted by the previous column scatter where one is required) and
+    structured scatter matrices are fitted by the 1-D profile search.
+    Returns ``(means, Sigma, Omega)``.
     """
     structure = structure or StructureSpec()
+    p, q = stats[0].s_sx.shape
+    n = sum(st.n for st in stats)
     omega_w = prev_omega if prev_omega is not None else np.eye(q)
     means, A, s_s_all = [], 0, 0
     for st in stats:
-        k = st.kappa
-        s_s, s_sx, s_xsx = k * st.s_s, k * st.s_sx, k * st.s_xsx
+        s_s, s_sx, s_xsx = st.s_s, st.s_sx, st.s_xsx
         if structure.mean == MeanStructure.FREE:
             M = np.linalg.solve(s_s, s_sx)
             A = A + (s_xsx - s_sx.T @ M)
@@ -139,7 +138,7 @@ def cme1(stats, nu, n, p, q, structure=None, prev_omega=None):
     return means, Sigma, Omega
 
 
-def solve_nu(ll_of, nu, bounds=(2.0, 1000.0), tol=1e-6):
+def solve_nu(ll_of, nu, bounds=(2.0, 1000.0)):
     """Maximize the observed log-likelihood ``ll_of`` over nu on ``bounds``.
 
     ``ll_of`` is the log-likelihood as a function of nu alone, with the
@@ -149,7 +148,7 @@ def solve_nu(ll_of, nu, bounds=(2.0, 1000.0), tol=1e-6):
     """
     lo, hi = bounds
     res = minimize_scalar(
-        lambda v: -ll_of(v), bounds=bounds, method="bounded", options={"xatol": tol}
+        lambda v: -ll_of(v), bounds=bounds, method="bounded", options={"xatol": NU_TOL}
     )
     cand, best = float(res.x), -float(res.fun)
     # the search stops about sqrt(eps) * hi short of a bound; ll_of is
@@ -161,19 +160,6 @@ def solve_nu(ll_of, nu, bounds=(2.0, 1000.0), tol=1e-6):
     if best < ll_of(nu):
         cand = nu
     return cand, lo < cand < hi
-
-
-def _obs_loglik_from_bracket(nu, n, p, q, logdet_s, logdet_o, sum_logdet_c):
-    """Observed log-likelihood as a function of nu for a fixed bracket."""
-    kappa = nu + p + q - 1
-    return (
-        n * lmvgamma(p, kappa / 2.0)
-        - n * lmvgamma(p, (nu + p - 1) / 2.0)
-        - 0.5 * n * p * q * _LOG_PI
-        - 0.5 * n * p * logdet_o
-        - 0.5 * n * q * logdet_s
-        - 0.5 * kappa * (sum_logdet_c - n * logdet_s)
-    )
 
 
 def mxvt_fit(data, config=None):
@@ -208,29 +194,26 @@ def mxvt_fit(data, config=None):
     Sigma, Omega = np.eye(p), np.eye(q)
     params = [MxvtParams(nu, g.data.mean(axis=0), Sigma, Omega) for g in groups]
 
+    brackets = [t_bracket(g.data, prm) for g, prm in zip(groups, params)]
     trace = []
     prev_ll = -np.inf
     converged = False
     nu_interior = True
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        stats = [estep(g, prm) for g, prm in zip(groups, params)]
-        means, Sigma, Omega = cme1(
-            stats, nu, n, p, q, structure, prev_omega=Omega
-        )
+        stats = [estep(g, C, nu) for g, (C, _) in zip(groups, brackets)]
+        means, Sigma, Omega = cme1(stats, nu, structure, prev_omega=Omega)
 
         _, logdet_s = cholesky_logdet(Sigma)
         _, logdet_o = cholesky_logdet(Omega)
-        sum_logdet_c = sum(
-            float(t_bracket(g.data, MxvtParams(max(nu, 1.0), M, Sigma, Omega))[1].sum())
-            for g, M in zip(groups, means)
-        )
-        ll_of = lambda v: _obs_loglik_from_bracket(
-            v, n, p, q, logdet_s, logdet_o, sum_logdet_c
-        )
+        brackets = [
+            t_bracket(g.data, MxvtParams(nu, M, Sigma, Omega)) for g, M in zip(groups, means)
+        ]
+        sum_logdet_c = sum(float(logdet_c.sum()) for _, logdet_c in brackets)
+        ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
 
         if estimate:
-            nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds, config.nu_solver_tol)
+            nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds)
 
         params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
         ll = float(ll_of(nu))

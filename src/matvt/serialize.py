@@ -6,6 +6,7 @@ identical inputs produce byte-identical files.
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -103,24 +104,32 @@ def model_doc(model):
     }
 
 
+@contextmanager
+def _reading(doc, kind):
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise DataFormatError(f"not a {kind} model document")
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"{kind} model document has no {exc.args[0]!r} key") from None
+
+
 def model_from_doc(doc):
-    if doc.get("kind") != "classifier":
-        raise DataFormatError("not a classifier model document")
-    return ClassifierModel(
-        family=doc["family"],
-        groups=[_params_from(g) for g in doc["groups"]],
-        priors=np.array(doc["priors"]),
-        structure=_structure_from(doc["structure"]),
-        pooled=doc["pooled"],
-        class_labels=list(doc["class_labels"]),
-        train_log_lik=doc["train_log_lik"],
-        param_count=doc["param_count"],
-        bic=doc["bic"],
-        nu_mode=doc["nu_mode"],
-    )
+    with _reading(doc, "classifier"):
+        return ClassifierModel(
+            family=doc["family"],
+            groups=[_params_from(g) for g in doc["groups"]],
+            priors=np.array(doc["priors"]),
+            structure=_structure_from(doc["structure"]),
+            pooled=doc["pooled"],
+            class_labels=list(doc["class_labels"]),
+            train_log_lik=doc["train_log_lik"],
+            param_count=doc["param_count"],
+            bic=doc["bic"],
+            nu_mode=doc["nu_mode"],
+        )
 
 
 def params_from_fit_doc(doc):
-    if doc.get("kind") != "fit":
-        raise DataFormatError("not a fit model document")
-    return _params_from(doc["params"])
+    with _reading(doc, "fit"):
+        return _params_from(doc["params"])

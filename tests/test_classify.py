@@ -90,6 +90,12 @@ def test_priors_resolution(rng):
     np.testing.assert_allclose(eq.priors, [0.5, 0.5])
     given = train(unbalanced, family="normal", priors=[3.0, 1.0])
     np.testing.assert_allclose(given.priors, [0.75, 0.25])
+    # given priors are not estimated parameters, and an ndarray is the list
+    assert given.param_count == emp.param_count - 1
+    as_array = train(unbalanced, family="normal", priors=np.array([3.0, 1.0]))
+    np.testing.assert_array_equal(as_array.priors, given.priors)
+    assert (as_array.param_count, as_array.bic) == (given.param_count, given.bic)
+    assert as_array.train_log_lik == given.train_log_lik
     with pytest.raises(ValueError):
         train(unbalanced, family="normal", priors=[1.0, -1.0])
     with pytest.raises(ValueError):

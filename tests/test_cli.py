@@ -202,3 +202,29 @@ def test_ingest_satimage(tmp_path):
 
     train = read_matstack(outdir / "satimage_train.matstack")
     assert (train.n, train.p, train.q) == (4, 4, 9)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"kind": "classifier"}, "family"),
+        ({"kind": "classifier", "family": "t", "groups": [{"M": [[0.0]]}]}, "Sigma"),
+    ],
+)
+def test_model_missing_key_is_a_one_line_error(tmp_path, labeled_stack, doc, key):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(doc))
+    res = run_cli("classify", "predict", "--model", model, "--input", labeled_stack)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert repr(key) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_fit_doc_missing_params_is_a_one_line_error(tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({"kind": "fit"}))
+    res = run_cli("simulate", "--n", 3, "--params", doc, "--output", tmp_path / "o.matstack")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "'params'" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -28,20 +28,28 @@ def _true_params(rng, p=3, q=2, nu=6.0):
 # E-step
 
 
+def _estep_at(data, params):
+    data = data if isinstance(data, MatrixStack) else MatrixStack(np.asarray(data))
+    C, _ = t_bracket(data.data, params)
+    return estep(data, C, params.nu)
+
+
 def test_estep_weight_matrix_definition(rng):
     params = _true_params(rng, p=2, q=3, nu=5.0)
     data = sample_mxvt(params, 20, seed=1)
     kappa = params.nu + params.p + params.q - 1
-    stats = estep(data, params)
-    assert stats.kappa == kappa
-    C, _ = t_bracket(data.data, params)
+    stats = _estep_at(data, params)
+    assert stats.n == 20
+    # the bracket written out, not taken from t_bracket
+    D = data.data - params.M
+    C = D @ np.linalg.inv(params.Omega) @ D.transpose(0, 2, 1) + params.Sigma
     S = kappa * np.linalg.inv(C)
-    np.testing.assert_allclose(kappa * stats.s_s, S.sum(axis=0), rtol=1e-10)
+    np.testing.assert_allclose(stats.s_s, S.sum(axis=0), rtol=1e-10)
     np.testing.assert_allclose(
-        kappa * stats.s_sx, np.einsum("nij,njk->ik", S, data.data), rtol=1e-10
+        stats.s_sx, np.einsum("nij,njk->ik", S, data.data), rtol=1e-10
     )
     np.testing.assert_allclose(
-        kappa * stats.s_xsx,
+        stats.s_xsx,
         np.einsum("nji,njk,nkl->il", data.data, S, data.data),
         rtol=1e-10,
     )
@@ -54,17 +62,19 @@ def test_estep_scalar_weight(rng):
         nu=nu, M=np.array([[m]]), Sigma=np.array([[sigma]]), Omega=np.array([[omega]])
     )
     x = np.array([[[1.7]], [[-0.4]]])
-    stats = estep(x, params)
+    stats = _estep_at(x, params)
     w = (nu + 1.0) / ((x[:, 0, 0] - m) ** 2 / omega + sigma)
-    k = stats.kappa
-    assert k * stats.s_s[0, 0] == pytest.approx(w.sum(), rel=1e-12)
-    assert k * stats.s_sx[0, 0] == pytest.approx((w * x[:, 0, 0]).sum(), rel=1e-12)
+    assert stats.s_s[0, 0] == pytest.approx(w.sum(), rel=1e-12)
+    assert stats.s_sx[0, 0] == pytest.approx((w * x[:, 0, 0]).sum(), rel=1e-12)
 
 
 def test_estep_shape_mismatch():
-    params = MxvtParams(nu=5.0, M=np.zeros((2, 2)), Sigma=np.eye(2), Omega=np.eye(2))
+    # 2x2 brackets belong to p = 2; a 3x2 stack or a different n is refused
+    C = np.broadcast_to(np.eye(2), (3, 2, 2))
     with pytest.raises(ValueError):
-        estep(np.zeros((3, 2, 3)), params)
+        estep(np.zeros((3, 3, 2)), C, 5.0)
+    with pytest.raises(ValueError):
+        estep(np.zeros((4, 2, 3)), C, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +85,9 @@ def test_cme1_unconstrained_closed_forms(rng):
     params = _true_params(rng, p=2, q=3, nu=7.0)
     data = sample_mxvt(params, 60, seed=4)
     n, p, q = data.n, data.p, data.q
-    stats = estep(data, params)
-    (M,), Sigma, Omega = cme1([stats], params.nu, n, p, q)
-    k = stats.kappa
-    s_s, s_sx, s_xsx = k * stats.s_s, k * stats.s_sx, k * stats.s_xsx
+    stats = _estep_at(data, params)
+    (M,), Sigma, Omega = cme1([stats], params.nu)
+    s_s, s_sx, s_xsx = stats.s_s, stats.s_sx, stats.s_xsx
     np.testing.assert_allclose(M, np.linalg.solve(s_s, s_sx), rtol=1e-10)
     np.testing.assert_allclose(
         Sigma, n * (params.nu + p - 1) * np.linalg.inv(s_s), rtol=1e-10
@@ -90,12 +99,12 @@ def test_cme1_unconstrained_closed_forms(rng):
 def test_cme1_constant_mean(rng):
     params = _true_params(rng, p=2, q=2, nu=6.0)
     data = sample_mxvt(params, 40, seed=5)
-    stats = estep(data, params)
+    stats = _estep_at(data, params)
     spec = StructureSpec(mean=MeanStructure.CONSTANT)
-    (M,), _, _ = cme1([stats], params.nu, data.n, 2, 2, spec, prev_omega=params.Omega)
+    (M,), _, _ = cme1([stats], params.nu, spec, prev_omega=params.Omega)
     assert np.ptp(M) == pytest.approx(0.0, abs=1e-14)
     # the scalar solves the Omega-weighted normal equation
-    s_s, s_sx = stats.kappa * stats.s_s, stats.kappa * stats.s_sx
+    s_s, s_sx = stats.s_s, stats.s_sx
     w = np.linalg.solve(params.Omega, np.ones(2))
     mu = (np.ones(2) @ s_sx @ w) / (s_s.sum() * w.sum())
     assert M[0, 0] == pytest.approx(mu, rel=1e-10)
@@ -110,8 +119,8 @@ def _nu_profile(rng, nu, n, seed):
     # E-step and CM step at the true parameters
     params = _true_params(rng, nu=nu)
     data = sample_mxvt(params, n, seed=seed)
-    stats = estep(data, params)
-    (M,), Sigma, Omega = cme1([stats], params.nu, data.n, data.p, data.q)
+    stats = _estep_at(data, params)
+    (M,), Sigma, Omega = cme1([stats], params.nu)
     return lambda v: mxvt_logpdf(data.data, MxvtParams(v, M, Sigma, Omega)).sum()
 
 
@@ -157,6 +166,25 @@ def test_fit_flags_nu_at_the_upper_bound():
 
 # ---------------------------------------------------------------------------
 # full ECME fit
+
+
+def test_fit_takes_one_bracket_per_group_per_iteration(rng, monkeypatch):
+    # one bracket per group at the start, then one per group per iteration
+    # that serves both the log-likelihood and the next E-step
+    calls = []
+
+    def counted(X, params):
+        calls.append(len(X))
+        return t_bracket(X, params)
+
+    monkeypatch.setattr("matvt.mxvt.t_bracket", counted)
+    params = _true_params(rng, p=3, q=2, nu=6.0)
+    groups = [sample_mxvt(params, 30 + 5 * g, seed=40, stream=g) for g in range(3)]
+    for config in (EcmeConfig(), EcmeConfig(nu=6.0)):
+        calls.clear()
+        res = mxvt_fit(groups, config)
+        assert res.iterations > 1
+        assert calls == [30, 35, 40] * (res.iterations + 1)
 
 
 def test_fit_monotone_loglik(rng):

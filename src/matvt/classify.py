@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import StructureSpec
-from .distributions import mxvn_logpdf, mxvt_logpdf
+from .distributions import _mxvn_loglik, mxvn_logpdf, mxvt_logpdf
 from .errors import EstimationError
 from .linalg import cholesky_logdet
 from .mxvn import FitConfig, mxvn_fit
 from .mxvt import EcmeConfig, mxvt_fit
 
 logger = logging.getLogger(__name__)
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -167,8 +165,8 @@ def _normal_closed_scores(model, X):
     p, q = model.p, model.q
     out = np.empty((n, len(model.groups)))
     for g, prm in enumerate(model.groups):
-        Ls, logdet_s = cholesky_logdet(prm.Sigma)
-        Lo, logdet_o = cholesky_logdet(prm.Omega)
+        _, logdet_s = cholesky_logdet(prm.Sigma)
+        _, logdet_o = cholesky_logdet(prm.Omega)
         sinv_x = np.linalg.solve(prm.Sigma, X.transpose(1, 0, 2).reshape(p, -1))
         sinv_x = sinv_x.reshape(p, n, q).transpose(1, 0, 2)      # Sigma^-1 X
         oinv = np.linalg.solve(prm.Omega, np.eye(q))
@@ -176,14 +174,8 @@ def _normal_closed_scores(model, X):
         quad_xx = np.einsum("ij,nkj,nki->n", oinv, X, sinv_x)    # tr(O^-1 X^T S^-1 X)
         cross = np.einsum("ij,kj,nki->n", oinv, prm.M, sinv_x)   # tr(O^-1 M^T S^-1 X)
         quad_mm = float(np.sum(oinv * (prm.M.T @ sinv_m)))
-        out[:, g] = (
-            -0.5 * quad_xx
-            + cross
-            - 0.5 * quad_mm
-            - 0.5 * (q * logdet_s + p * logdet_o)
-            - 0.5 * p * q * _LOG_2PI
-            + np.log(model.priors[g])
-        )
+        quad = quad_xx - 2.0 * cross + quad_mm
+        out[:, g] = _mxvn_loglik(p, q, logdet_s, logdet_o, quad) + np.log(model.priors[g])
     return out[0] if single else out
 
 

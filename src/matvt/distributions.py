@@ -60,8 +60,16 @@ def mxvn_logpdf(X, params):
     A = solve_lower_batch(Ls, D)                       # L_S^-1 D
     B = solve_lower_batch(Lo, A.transpose(0, 2, 1))    # L_O^-1 D^T L_S^-T
     quad = np.einsum("nij,nij->n", B, B)
-    out = -0.5 * quad - 0.5 * (p * q * _LOG_2PI + p * logdet_o + q * logdet_s)
+    out = _mxvn_loglik(p, q, logdet_s, logdet_o, quad)
     return out[0] if single else out
+
+
+def _mxvn_loglik(p, q, logdet_s, logdet_o, quad, n=1):
+    """Matrix-normal log-likelihood from log|Sigma|, log|Omega| and ``quad``,
+    the quadratic form tr(Omega^-1 (X - M)^T Sigma^-1 (X - M)): a vector of
+    forms gives one value each, their sum over ``n`` matrices the total.
+    """
+    return -0.5 * quad - 0.5 * n * (p * q * _LOG_2PI + p * logdet_o + q * logdet_s)
 
 
 def t_bracket(X, params):

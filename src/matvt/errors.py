@@ -20,4 +20,4 @@ class EstimationError(MatvtError):
 
 
 class SingularUpdateError(EstimationError):
-    """A scatter-matrix update lost positive definiteness beyond repair."""
+    """A fitted scatter-matrix update is not positive definite."""

@@ -1,7 +1,8 @@
 """Shared Cholesky-based helpers.
 
-Quadratic forms and log-determinants are always computed through Cholesky
-factors; explicit inverses are avoided except where a closed form exists.
+Quadratic forms and log-determinants go through Cholesky factors.  The
+fitters still invert where the update is a closed form in an inverse: the
+E-step weights C_i^-1 and the t fit's row scatter (sum S_i)^-1.
 """
 
 import numpy as np
@@ -16,25 +17,16 @@ def cholesky_logdet(A):
     return L, 2.0 * np.log(np.diag(L)).sum()
 
 
-def safe_cholesky(A, what="matrix"):
-    """Cholesky with a single jitter retry.
+def safe_cholesky(A, what):
+    """:func:`cholesky_logdet` of a fitted scatter update.
 
-    If the factorization fails, 1e-10 * trace/d is added to the diagonal
-    once; a second failure raises :class:`SingularUpdateError`.
+    A matrix that is not positive definite raises
+    :class:`SingularUpdateError` naming ``what``.
     """
     try:
-        return np.linalg.cholesky(A)
+        return cholesky_logdet(A)
     except np.linalg.LinAlgError:
-        d = A.shape[0]
-        jitter = 1e-10 * np.trace(A) / d
-        if jitter <= 0:
-            raise SingularUpdateError(f"{what} update is not positive definite")
-        try:
-            return np.linalg.cholesky(A + jitter * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise SingularUpdateError(
-                f"{what} update is not positive definite (after jitter)"
-            ) from None
+        raise SingularUpdateError(f"{what} update is not positive definite") from None
 
 
 def solve_lower_batch(L, B):

@@ -11,18 +11,27 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .datamodel import (
     MatrixStack,
     MeanStructure,
     MxvnParams,
+    ScatterStructure,
     StructureSpec,
     normalize_identifiability,
 )
-from .distributions import mxvn_logpdf
+from .distributions import _mxvn_loglik
 from .errors import EstimationError
-from .linalg import safe_cholesky, solve_lower_batch, symmetrize
+from .linalg import safe_cholesky, solve_lower_batch
 from .structures import constrained_mean, update_scatter_inverse
+
+# smallest eigenvalue, relative to the largest, at which a correlation-form
+# Gram still counts as nonsingular.  Rows or columns computed as exact
+# linear combinations of others leave rounding noise of up to about
+# 1e4 * eps there; more only when their level exceeds their spread by eight
+# or more orders of magnitude.
+_RANK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,11 +72,49 @@ def check_sample_size(n, p, q, structure):
             warnings.warn(
                 f"n={n} is at or below the unconstrained existence threshold "
                 f"{threshold:.3g}; the constrained fit may be unstable",
-                stacklevel=3,
+                stacklevel=4,
+            )
+
+
+def check_fit_data(groups, structure):
+    """Refuse groups on which a fit has no maximum.
+
+    Each group's mean uses up one observation of the sample size that
+    :func:`check_sample_size` judges.  With a free mean, a free row (or
+    column) scatter has no maximum when some combination of rows (or of
+    columns) is the same in every observation of a group, that is when the
+    centred row (or column) Gram is singular.  Differences from each
+    group's first observation span the same space as the centred data and
+    are exactly zero in a constant entry.  The Gram is judged in
+    correlation form, so scaling a row or column changes nothing.
+    """
+    D = np.concatenate([g.data[1:] - g.data[0] for g in groups])
+    n, p, q = D.shape
+    check_sample_size(n + 1, p, q, structure)
+    if structure.mean != MeanStructure.FREE:
+        return
+    rows = D.transpose(1, 0, 2).reshape(p, n * q)
+    cols = D.reshape(n * p, q)
+    for what, kind, G in (
+        ("row", structure.row_scatter, rows @ rows.T),
+        ("column", structure.col_scatter, cols.T @ cols),
+    ):
+        if kind != ScatterStructure.FREE:
+            continue
+        s = np.sqrt(np.diag(G))
+        s[s == 0] = 1.0
+        ev = np.linalg.eigvalsh(G / np.outer(s, s))
+        if ev[0] <= _RANK_RTOL * ev[-1]:
+            raise EstimationError(
+                f"the data make the {what} scatter singular: a combination "
+                f"of {what}s is the same in every observation"
             )
 
 
 def _relative_change(new, old):
+    """|new - old| / (|old| + 1), infinite when there is no previous value."""
+    if old is None:
+        return np.inf
     return abs(new - old) / (abs(old) + 1.0)
 
 
@@ -90,9 +137,10 @@ def as_groups(data):
 
 
 def _whitened_gram(L, D):
-    """sum_i (L^-1 D_i)^T (L^-1 D_i) over a stack D."""
+    """sum_i (L^-1 D_i)^T (L^-1 D_i) over a stack D, as one product."""
     W = solve_lower_batch(L, D)
-    return np.einsum("nki,nkj->nij", W, W).sum(axis=0)
+    W = W.reshape(-1, W.shape[-1])
+    return W.T @ W
 
 
 def mxvn_fit(data, config=None):
@@ -109,15 +157,14 @@ def mxvn_fit(data, config=None):
     structure = config.structure
     p, q = groups[0].p, groups[0].q
     n = sum(g.n for g in groups)
-    # each group's mean uses up one observation
-    check_sample_size(n - len(groups) + 1, p, q, structure)
+    check_fit_data(groups, structure)
 
     Sigma = np.eye(p)
-    Omega = np.eye(q)
+    Omega = Lo = np.eye(q)  # the identity is its own Cholesky factor
     means = [g.data.mean(axis=0) for g in groups]
 
     trace = []
-    prev_ll = -np.inf
+    prev_ll = None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
@@ -133,19 +180,17 @@ def mxvn_fit(data, config=None):
             ]
         diffs = [g.data - M for g, M in zip(groups, means)]
 
-        Lo = safe_cholesky(Omega, "column scatter")
-        B = symmetrize(sum(_whitened_gram(Lo, D.transpose(0, 2, 1)) for D in diffs))
+        B = sum(_whitened_gram(Lo, D.transpose(0, 2, 1)) for D in diffs)
         Sigma = update_scatter_inverse(B, n * q / 2.0, structure.row_scatter, p)
+        Ls, logdet_s = safe_cholesky(Sigma, "row scatter")
 
-        Ls = safe_cholesky(Sigma, "row scatter")
-        A = symmetrize(sum(_whitened_gram(Ls, D) for D in diffs))
+        A = sum(_whitened_gram(Ls, D) for D in diffs)
         Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
-        safe_cholesky(Omega, "column scatter")
+        Lo, logdet_o = safe_cholesky(Omega, "column scatter")
 
-        ll = sum(
-            float(mxvn_logpdf(g.data, MxvnParams(M, Sigma, Omega)).sum())
-            for g, M in zip(groups, means)
-        )
+        # sum_i tr(Omega^-1 D_i^T Sigma^-1 D_i) = tr(Omega^-1 A)
+        quad = np.trace(cho_solve((Lo, True), A))
+        ll = float(_mxvn_loglik(p, q, logdet_s, logdet_o, quad, n))
         trace.append(ll)
         if _relative_change(ll, prev_ll) < config.tolerance:
             converged = True

@@ -27,8 +27,8 @@ from .datamodel import (
     normalize_identifiability,
 )
 from .distributions import _mxvt_loglik, t_bracket
-from .linalg import cholesky_logdet, safe_cholesky, symmetrize
-from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_sample_size
+from .linalg import safe_cholesky, symmetrize
+from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_fit_data
 from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
 
 NU_ESTIMATE = "estimate"
@@ -126,7 +126,6 @@ def cme1(stats, nu, structure=None, prev_omega=None):
     A = symmetrize(A)
 
     Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
-    safe_cholesky(Omega, "column scatter")
 
     if structure.row_scatter == ScatterStructure.FREE:
         Sigma = symmetrize(n * (nu + p - 1) * np.linalg.inv(s_s_all))
@@ -134,7 +133,6 @@ def cme1(stats, nu, structure=None, prev_omega=None):
         Sigma = structured_scatter_direct(
             s_s_all, n * (nu + p - 1) / 2.0, structure.row_scatter, p
         ).full()
-    safe_cholesky(Sigma, "row scatter")
     return means, Sigma, Omega
 
 
@@ -184,8 +182,7 @@ def mxvt_fit(data, config=None):
     structure = config.structure
     p, q = groups[0].p, groups[0].q
     n = sum(g.n for g in groups)
-    # each group's mean uses up one observation
-    check_sample_size(n - len(groups) + 1, p, q, structure)
+    check_fit_data(groups, structure)
 
     estimate = config.estimate_nu
     lo, hi = config.nu_bounds
@@ -196,7 +193,7 @@ def mxvt_fit(data, config=None):
 
     brackets = [t_bracket(g.data, prm) for g, prm in zip(groups, params)]
     trace = []
-    prev_ll = -np.inf
+    prev_ll = None
     converged = False
     nu_interior = True
     iterations = 0
@@ -204,8 +201,8 @@ def mxvt_fit(data, config=None):
         stats = [estep(g, C, nu) for g, (C, _) in zip(groups, brackets)]
         means, Sigma, Omega = cme1(stats, nu, structure, prev_omega=Omega)
 
-        _, logdet_s = cholesky_logdet(Sigma)
-        _, logdet_o = cholesky_logdet(Omega)
+        _, logdet_s = safe_cholesky(Sigma, "row scatter")
+        _, logdet_o = safe_cholesky(Omega, "column scatter")
         brackets = [
             t_bracket(g.data, MxvtParams(nu, M, Sigma, Omega)) for g, M in zip(groups, means)
         ]

@@ -112,6 +112,8 @@ def _reading(doc, kind):
         yield
     except KeyError as exc:
         raise DataFormatError(f"{kind} model document has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise DataFormatError(f"{kind} model document has a wrong-type value: {exc}") from None
 
 
 def model_from_doc(doc):

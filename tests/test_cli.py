@@ -228,3 +228,14 @@ def test_fit_doc_missing_params_is_a_one_line_error(tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "'params'" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_model_wrong_type_is_a_one_line_error(tmp_path, labeled_stack):
+    model = tmp_path / "bad.json"
+    doc = {"kind": "classifier", "family": "t", "groups": [1], "priors": [1]}
+    model.write_text(json.dumps(doc))
+    res = run_cli("classify", "predict", "--model", model, "--input", labeled_stack)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert "wrong-type value" in res.stderr
+    assert "Traceback" not in res.stderr

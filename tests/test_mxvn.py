@@ -169,3 +169,23 @@ def test_config_validation():
         FitConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         FitConfig(max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "structure, n_groups",
+    [
+        (StructureSpec(), 1),
+        (StructureSpec(row_scatter=ScatterStructure.AR1), 1),
+        (StructureSpec(col_scatter=ScatterStructure.CS), 1),
+        (StructureSpec(mean=MeanStructure.CONSTANT), 1),
+        (StructureSpec(), 3),
+    ],
+)
+def test_log_lik_is_the_density_at_the_returned_params(rng, structure, n_groups):
+    # the fit reads its log-likelihood off the Omega update's Gram
+    true = _true_params(rng, p=3, q=4)
+    groups = [sample_mxvn(true, 40 + 5 * g, seed=20, stream=g) for g in range(n_groups)]
+    res = mxvn_fit(groups if n_groups > 1 else groups[0], FitConfig(structure=structure))
+    params = res.params if n_groups > 1 else [res.params]
+    density = sum(mxvn_logpdf(g.data, prm).sum() for g, prm in zip(groups, params))
+    assert res.log_lik == pytest.approx(density, rel=1e-10)

@@ -23,7 +23,7 @@ from .distributions import (
 )
 from .errors import DataFormatError, EstimationError, SingularUpdateError
 from .mxvn import FitConfig, FitResult, mxvn_fit
-from .mxvt import EcmeConfig, SufficientStats, cme1, estep, mxvt_fit, solve_nu
+from .mxvt import EcmeConfig, mxvt_fit
 from .classify import ClassifierModel, evaluate, loocv, predict, scores, train
 
 __all__ = [
@@ -51,10 +51,6 @@ __all__ = [
     "FitResult",
     "mxvn_fit",
     "EcmeConfig",
-    "SufficientStats",
-    "estep",
-    "cme1",
-    "solve_nu",
     "mxvt_fit",
     "ClassifierModel",
     "train",

@@ -5,6 +5,10 @@ exact conditional maximization, so the observed log-likelihood never
 decreases across sweeps.  Optional structure constraints restrict the mean
 and/or either scatter matrix.  Several groups can be fitted together, each
 with its own mean and all sharing Sigma and Omega.
+
+Both fitters run one driver, :func:`_iterate`, which owns the loop, the
+trace, the stopping rule and the :class:`FitResult`; each family supplies
+only a start and one step.
 """
 
 import warnings
@@ -111,13 +115,6 @@ def check_fit_data(groups, structure):
             )
 
 
-def _relative_change(new, old):
-    """|new - old| / (|old| + 1), infinite when there is no previous value."""
-    if old is None:
-        return np.inf
-    return abs(new - old) / (abs(old) + 1.0)
-
-
 def as_groups(data):
     """Return ``(groups, single)`` for a fitter's ``data`` argument.
 
@@ -134,6 +131,35 @@ def as_groups(data):
     if not isinstance(data, MatrixStack):
         data = MatrixStack(np.asarray(data))
     return [data], True
+
+
+def _iterate(step, state, config, single):
+    """Run the fixed-point map ``step`` from ``state``; the one fitting loop.
+
+    ``step`` maps a state to ``(next_state, log_lik)``, and the first item
+    of a state is the list of per-group parameters.  The loop stops once
+    |l_k - l_(k-1)| / (|l_(k-1)| + 1) < ``config.tolerance``, which cannot
+    happen at the first step, or after ``config.max_iter`` steps.  Returns
+    the :class:`FitResult`, with the parameters normalized and unwrapped
+    from their list when ``single``, and the last state.
+    """
+    trace = []
+    for iterations in range(1, config.max_iter + 1):
+        state, ll = step(state)
+        trace.append(ll)
+        converged = (
+            iterations > 1 and abs(ll - trace[-2]) / (abs(trace[-2]) + 1.0) < config.tolerance
+        )
+        if converged:
+            break
+    params = [normalize_identifiability(prm) for prm in state[0]]
+    return FitResult(
+        params=params[0] if single else params,
+        log_lik=ll,
+        iterations=iterations,
+        converged=converged,
+        log_lik_trace=np.array(trace),
+    ), state
 
 
 def _whitened_gram(L, D):
@@ -159,21 +185,15 @@ def mxvn_fit(data, config=None):
     n = sum(g.n for g in groups)
     check_fit_data(groups, structure)
 
-    Sigma = np.eye(p)
-    Omega = Lo = np.eye(q)  # the identity is its own Cholesky factor
-    means = [g.data.mean(axis=0) for g in groups]
-
-    trace = []
-    prev_ll = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    def sweep(state):
+        params, Lo = state
+        means = [prm.M for prm in params]
         if structure.mean != MeanStructure.FREE:
             # weighted statistics with S_i = Sigma^-1
-            sigma_inv = np.linalg.solve(Sigma, np.eye(p))
+            sigma_inv = np.linalg.solve(params[0].Sigma, np.eye(p))
             means = [
                 constrained_mean(
-                    g.n * sigma_inv, sigma_inv @ g.data.sum(axis=0), Omega,
+                    g.n * sigma_inv, sigma_inv @ g.data.sum(axis=0), params[0].Omega,
                     structure.mean, p, q,
                 )
                 for g in groups
@@ -191,17 +211,8 @@ def mxvn_fit(data, config=None):
         # sum_i tr(Omega^-1 D_i^T Sigma^-1 D_i) = tr(Omega^-1 A)
         quad = np.trace(cho_solve((Lo, True), A))
         ll = float(_mxvn_loglik(p, q, logdet_s, logdet_o, quad, n))
-        trace.append(ll)
-        if _relative_change(ll, prev_ll) < config.tolerance:
-            converged = True
-            break
-        prev_ll = ll
+        return ([MxvnParams(M, Sigma, Omega) for M in means], Lo), ll
 
-    params = [normalize_identifiability(MxvnParams(M, Sigma, Omega)) for M in means]
-    return FitResult(
-        params=params[0] if single else params,
-        log_lik=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        log_lik_trace=np.array(trace),
-    )
+    start = [MxvnParams(g.data.mean(axis=0), np.eye(p), np.eye(q)) for g in groups]
+    # the start's Omega = I is its own Cholesky factor
+    return _iterate(sweep, (start, np.eye(q)), config, single)[0]

@@ -24,11 +24,11 @@ from .datamodel import (
     MxvtParams,
     ScatterStructure,
     StructureSpec,
-    normalize_identifiability,
 )
 from .distributions import _mxvt_loglik, t_bracket
+from .errors import SingularUpdateError
 from .linalg import safe_cholesky, symmetrize
-from .mxvn import FitConfig, FitResult, _relative_change, as_groups, check_fit_data
+from .mxvn import FitConfig, _iterate, as_groups, check_fit_data
 from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
 
 NU_ESTIMATE = "estimate"
@@ -173,7 +173,8 @@ def mxvt_fit(data, config=None):
     the second CM step is skipped.
 
     A nu estimate landing on a bound is reported with ``converged=False``
-    and ``nu_at_bound=True`` rather than raising.
+    and ``nu_at_bound=True`` rather than raising.  A row scatter that makes
+    a bracket C_i singular raises :class:`SingularUpdateError`.
     """
     groups, single = as_groups(data)
     config = config or EcmeConfig()
@@ -186,47 +187,35 @@ def mxvt_fit(data, config=None):
 
     estimate = config.estimate_nu
     lo, hi = config.nu_bounds
-    nu = 10.0 if estimate else float(config.nu)
-    nu = min(max(nu, lo + 1e-3), hi - 1e-3) if estimate else nu
-    Sigma, Omega = np.eye(p), np.eye(q)
-    params = [MxvtParams(nu, g.data.mean(axis=0), Sigma, Omega) for g in groups]
 
-    brackets = [t_bracket(g.data, prm) for g, prm in zip(groups, params)]
-    trace = []
-    prev_ll = None
-    converged = False
-    nu_interior = True
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    def brackets_at(params):
+        # C_i = D_i Omega^-1 D_i^T + Sigma is singular only through Sigma
+        try:
+            return [t_bracket(g.data, prm) for g, prm in zip(groups, params)]
+        except np.linalg.LinAlgError:
+            raise SingularUpdateError("row scatter makes a bracket C_i singular") from None
+
+    def ecme(state):
+        params, nu_interior, brackets = state
+        nu = params[0].nu
         stats = [estep(g, C, nu) for g, (C, _) in zip(groups, brackets)]
-        means, Sigma, Omega = cme1(stats, nu, structure, prev_omega=Omega)
+        means, Sigma, Omega = cme1(stats, nu, structure, prev_omega=params[0].Omega)
 
         _, logdet_s = safe_cholesky(Sigma, "row scatter")
         _, logdet_o = safe_cholesky(Omega, "column scatter")
-        brackets = [
-            t_bracket(g.data, MxvtParams(nu, M, Sigma, Omega)) for g, M in zip(groups, means)
-        ]
+        brackets = brackets_at([MxvtParams(nu, M, Sigma, Omega) for M in means])
         sum_logdet_c = sum(float(logdet_c.sum()) for _, logdet_c in brackets)
         ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
 
         if estimate:
             nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds)
-
         params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
-        ll = float(ll_of(nu))
-        trace.append(ll)
-        if _relative_change(ll, prev_ll) < config.tolerance:
-            converged = True
-            break
-        prev_ll = ll
+        return (params, nu_interior, brackets), float(ll_of(nu))
 
-    at_bound = estimate and not nu_interior
-    params = [normalize_identifiability(prm) for prm in params]
-    return FitResult(
-        params=params[0] if single else params,
-        log_lik=trace[-1],
-        iterations=iterations,
-        converged=converged and not at_bound,
-        log_lik_trace=np.array(trace),
-        nu_at_bound=at_bound,
-    )
+    nu = min(max(10.0, lo + 1e-3), hi - 1e-3) if estimate else float(config.nu)
+    start = [MxvtParams(nu, g.data.mean(axis=0), np.eye(p), np.eye(q)) for g in groups]
+    state = (start, True, brackets_at(start))
+    result, (_, nu_interior, _) = _iterate(ecme, state, config, single)
+    result.nu_at_bound = estimate and not nu_interior
+    result.converged = result.converged and not result.nu_at_bound
+    return result

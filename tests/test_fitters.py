@@ -1,10 +1,18 @@
-"""Behaviour the normal and t fitters share: how each factors its scatter
-matrices, and which data they refuse before fitting."""
+"""Behaviour the normal and t fitters share: the iteration driver, how each
+factors its scatter matrices, and which data they refuse before fitting."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from matvt.datamodel import MatrixStack, MxvtParams, ScatterStructure, StructureSpec
+from matvt.datamodel import (
+    MatrixStack,
+    MeanStructure,
+    MxvtParams,
+    ScatterStructure,
+    StructureSpec,
+)
 from matvt.distributions import sample_mxvt
 from matvt.errors import EstimationError, SingularUpdateError
 from matvt.linalg import safe_cholesky
@@ -99,3 +107,56 @@ def test_badly_scaled_columns_still_fit(fit):
     np.testing.assert_allclose(
         scaled.params.Omega, plain.params.Omega * np.outer(scale, scale), rtol=1e-2
     )
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["stack", "groups"])
+@pytest.mark.parametrize(
+    "fit, config",
+    [(mxvn_fit, FitConfig()), (mxvt_fit, EcmeConfig()), (mxvt_fit, EcmeConfig(nu=6.0))],
+    ids=["normal", "t-estimated-nu", "t-fixed-nu"],
+)
+def test_fit_cut_short_is_a_prefix_of_the_full_fit(fit, config, pooled):
+    X = _t_stack(90)
+    data = [MatrixStack(X[30 * g : 30 * (g + 1)] + g) for g in range(3)] if pooled else X
+    full = fit(data, config)
+    assert full.converged and full.iterations > 2
+    assert len(full.log_lik_trace) == full.iterations
+    assert full.log_lik == full.log_lik_trace[-1]
+    # the stop never fires at the first iteration, and a fit cut short by
+    # max_iter is the full fit's first k iterations
+    for k in (1, full.iterations // 2, full.iterations - 1):
+        cut = fit(data, replace(config, max_iter=k))
+        assert cut.iterations == k
+        assert cut.converged is False
+        assert np.array_equal(cut.log_lik_trace, full.log_lik_trace[:k])
+        assert cut.log_lik == cut.log_lik_trace[-1]
+
+
+@pytest.mark.parametrize("fit", FITTERS)
+def test_duplicated_row_under_a_constrained_mean_names_the_row_scatter(fit):
+    # a constrained mean skips the rank check, so the fit itself must fail
+    # with a matvt error
+    structure = StructureSpec(mean=MeanStructure.CONSTANT)
+    with pytest.raises(SingularUpdateError, match="row scatter"):
+        fit(MatrixStack(_duplicated_row(_t_stack())), CONFIGS[fit](structure=structure))
+
+
+def test_data_scale_that_swamps_the_t_start_names_the_row_scatter():
+    # C_i = D_i D_i^T + Sigma at the start Sigma = I, and D_i D_i^T has rank
+    # q < p, so at a large enough scale Sigma falls below rounding
+    X = _t_stack()
+    assert mxvt_fit(MatrixStack(X * 1e5)).converged
+    for scale in (1e8, 1e12):
+        with pytest.raises(SingularUpdateError, match="row scatter"):
+            mxvt_fit(MatrixStack(X * scale))
+
+
+@pytest.mark.parametrize("fit", FITTERS)
+def test_sample_size_warning_points_at_the_caller(fit):
+    # check_sample_size warns with stacklevel=4: right only while each
+    # fitter calls check_fit_data itself
+    structure = StructureSpec(row_scatter=ScatterStructure.AR1, col_scatter=ScatterStructure.AR1)
+    config = CONFIGS[fit](max_iter=5, structure=structure)
+    with pytest.warns(UserWarning, match="existence threshold") as record:
+        fit(MatrixStack(_t_stack()[:3, :3, :3]), config)
+    assert record[0].filename == __file__

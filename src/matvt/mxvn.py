@@ -13,6 +13,7 @@ only a start and one step.
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -47,8 +48,8 @@ class FitConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass

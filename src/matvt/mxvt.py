@@ -14,22 +14,17 @@ step: log|C_i| gives the log-likelihood and C the next iteration's E-step.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .datamodel import (
-    MatrixStack,
-    MeanStructure,
-    MxvtParams,
-    ScatterStructure,
-    StructureSpec,
-)
+from .datamodel import MatrixStack, MeanStructure, MxvtParams, StructureSpec
 from .distributions import _mxvt_loglik, t_bracket
 from .errors import SingularUpdateError
 from .linalg import safe_cholesky, symmetrize
 from .mxvn import FitConfig, _iterate, as_groups, check_fit_data
-from .structures import constrained_mean, structured_scatter_direct, update_scatter_inverse
+from .structures import constrained_mean, update_scatter_direct, update_scatter_inverse
 
 NU_ESTIMATE = "estimate"
 
@@ -48,10 +43,11 @@ class EcmeConfig(FitConfig):
     def __post_init__(self):
         super().__post_init__()
         lo, hi = self.nu_bounds
-        if not (1.0 <= lo < hi):
-            raise ValueError(f"nu_bounds must lie in [1, inf), got {self.nu_bounds}")
-        if not self.estimate_nu and not (np.isfinite(self.nu) and self.nu >= 1):
-            raise ValueError(f"fixed nu must be a real >= 1, got {self.nu!r}")
+        if not (1.0 <= lo < hi < np.inf):
+            raise ValueError(f"nu_bounds must be finite with 1 <= lo < hi, got {self.nu_bounds}")
+        fixed_ok = isinstance(self.nu, Real) and np.isfinite(self.nu) and self.nu >= 1
+        if not (self.estimate_nu or fixed_ok):
+            raise ValueError(f"nu must be {NU_ESTIMATE!r} or a finite real >= 1, got {self.nu!r}")
 
     @property
     def estimate_nu(self):
@@ -102,11 +98,9 @@ def cme1(stats, nu, structure=None, prev_omega=None):
 
     ``stats`` holds one :class:`SufficientStats` per group, all taken at
     ``nu``, which also give n, p and q.  Each group gets its own mean;
-    Sigma and Omega are shared.  Unconstrained updates are the closed forms
-    in the sufficient statistics; constrained means use their closed forms
-    (weighted by the previous column scatter where one is required) and
-    structured scatter matrices are fitted by the 1-D profile search.
-    Returns ``(means, Sigma, Omega)``.
+    Sigma and Omega are shared.  The updates themselves live in
+    :mod:`matvt.structures`; constrained means are weighted by the previous
+    column scatter where one is required.  Returns ``(means, Sigma, Omega)``.
     """
     structure = structure or StructureSpec()
     p, q = stats[0].s_sx.shape
@@ -115,24 +109,17 @@ def cme1(stats, nu, structure=None, prev_omega=None):
     means, A, s_s_all = [], 0, 0
     for st in stats:
         s_s, s_sx, s_xsx = st.s_s, st.s_sx, st.s_xsx
+        M = constrained_mean(s_s, s_sx, omega_w, structure.mean, p, q)
         if structure.mean == MeanStructure.FREE:
-            M = np.linalg.solve(s_s, s_sx)
             A = A + (s_xsx - s_sx.T @ M)
         else:
-            M = constrained_mean(s_s, s_sx, omega_w, structure.mean, p, q)
             A = A + (s_xsx - s_sx.T @ M - M.T @ s_sx + M.T @ s_s @ M)
         means.append(M)
         s_s_all = s_s_all + s_s
     A = symmetrize(A)
 
     Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
-
-    if structure.row_scatter == ScatterStructure.FREE:
-        Sigma = symmetrize(n * (nu + p - 1) * np.linalg.inv(s_s_all))
-    else:
-        Sigma = structured_scatter_direct(
-            s_s_all, n * (nu + p - 1) / 2.0, structure.row_scatter, p
-        ).full()
+    Sigma = update_scatter_direct(s_s_all, n * (nu + p - 1) / 2.0, structure.row_scatter, p)
     return means, Sigma, Omega
 
 

@@ -2,17 +2,22 @@
 
 The mean updates are closed forms in the weighted sufficient statistics
 S_S = sum_i S_i and S_SX = sum_i S_i X_i (with S_i = Sigma^-1 for the
-normal fit).  Structured scatter matrices (AR(1), compound symmetry) are
-fitted by profiling out the scale analytically and maximizing over the
-correlation parameter with a bounded 1-D search.
+normal fit).  A scatter update maximizes the direct form
+c log|S| - tr(S T)/2 (the t fit's row scatter, which enters its Wishart
+part) or the inverse form -c log|S| - tr(S^-1 A)/2 (every other update).
+The inverse form is the direct form in S^-1, so one profile search fits
+an AR(1) or compound-symmetry scatter scale * R(rho) in either form.
 """
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .datamodel import Ar1Matrix, CsMatrix, MeanStructure, ScatterStructure
+from .linalg import symmetrize
 
 _RHO_TOL = 1e-7
+# points of the grid that checks the rho search for a better mode
+_RHO_GRID = 21
 
 
 def constrained_mean(s_s, s_sx, omega, mean_structure, p, q):
@@ -37,79 +42,73 @@ def constrained_mean(s_s, s_sx, omega, mean_structure, p, q):
     raise ValueError(f"unknown mean structure {mean_structure!r}")
 
 
-def _rho_bounds(kind, d):
-    if kind == ScatterStructure.AR1:
-        return -0.99, 0.99
-    return (-1.0 / (d - 1) + 1e-3 if d > 1 else -0.99), 0.99
+def _maximize_rho(profile, kind, d):
+    """Maximize ``profile`` over rho on its bounds, for d > 1.
+
+    The profile need not be unimodal: when a point of a grid uniform in
+    atanh(rho) beats the bounded search, the search reruns between that
+    point's neighbours.  It stops about xatol short of a bound, so the
+    nearer bound is taken when it does no worse.
+    """
+    lo = -0.99 if kind == ScatterStructure.AR1 else -1.0 / (d - 1) + 1e-3
+    hi = 0.99
+
+    def search(a, b):
+        res = minimize_scalar(
+            lambda r: -profile(r), bounds=(a, b), method="bounded",
+            options={"xatol": _RHO_TOL},
+        )
+        return -float(res.fun), float(res.x)
+
+    best, rho = search(lo, hi)
+    grid = np.tanh(np.linspace(np.arctanh(lo), np.arctanh(hi), _RHO_GRID))
+    values = [profile(r) for r in grid]
+    i = int(np.argmax(values))
+    if values[i] > best:
+        best, rho = search(grid[max(i - 1, 0)], grid[min(i + 1, _RHO_GRID - 1)])
+    edge = lo if rho - lo < hi - rho else hi
+    return edge if profile(edge) >= best else rho
 
 
-def _make(kind, d, rho, scale):
+def _structured(stat, c, kind, d, direct):
+    """Maximize the direct (``direct=True``) or inverse form over scale * R(rho).
+
+    Both read c log|P| - tr(P stat)/2, with P = u R (direct, S = P) or
+    P = u R^-1 (inverse, S = P^-1).  At each rho the scale u = 2cd / tr(P stat)
+    is closed form and the profile is c (d log u + log|R^+-1|).  d = 1 has
+    rho = 0 and no search.
+    """
     cls = Ar1Matrix if kind == ScatterStructure.AR1 else CsMatrix
-    return cls(dim=d, rho=rho, scale=scale)
 
+    def fit(rho):
+        # (u, profile) at rho
+        R = cls(d, rho)
+        P, logdet = (R.full(), R.logdet()) if direct else (R.inverse(), -R.logdet())
+        tr = float(np.sum(P * stat))
+        if tr <= 0:
+            return np.nan, -np.inf
+        u = 2.0 * c * d / tr
+        return u, c * (d * np.log(u) + logdet)
 
-def _maximize_rho(objective, kind, d):
-    lo, hi = _rho_bounds(kind, d)
-    res = minimize_scalar(
-        lambda r: -objective(r), bounds=(lo, hi), method="bounded",
-        options={"xatol": _RHO_TOL},
-    )
-    return float(res.x)
+    rho = _maximize_rho(lambda r: fit(r)[1], kind, d) if d > 1 else 0.0
+    u = fit(rho)[0]
+    return cls(d, rho, u if direct else 1.0 / u)
 
 
 def structured_scatter_direct(T, c1, kind, d):
-    """Maximize c1*log|S| - tr(S T)/2 over S = scale * R(rho).
-
-    This is the row-scatter update of the t fit, where the scatter enters
-    the Wishart part of the objective directly (not through its inverse).
-    Returns the parametric matrix object; ``.full()`` materializes it.
-    """
-    if d == 1:
-        return _make(kind, 1, 0.0, float(2.0 * c1 / T[0, 0]))
-
-    def profile(rho):
-        R = _make(kind, d, rho, 1.0)
-        tr = float(np.sum(R.full() * T))
-        if tr <= 0:
-            return -np.inf
-        scale = 2.0 * c1 * d / tr
-        return c1 * (d * np.log(scale) + R.logdet())
-
-    rho = _maximize_rho(profile, kind, d)
-    R = _make(kind, d, rho, 1.0)
-    scale = 2.0 * c1 * d / float(np.sum(R.full() * T))
-    return _make(kind, d, rho, scale)
+    """The structured S maximizing c1*log|S| - tr(S T)/2, as a matrix object."""
+    return _structured(T, c1, kind, d, direct=True)
 
 
-def structured_scatter_inverse(A, c2, kind, d):
-    """Maximize -c2*log|S| - tr(S^-1 A)/2 over S = scale * R(rho).
-
-    Covers the normal-fit scatter updates and the column-scatter update of
-    the t fit.  Uses the closed-form inverse and determinant of AR(1)/CS.
-    """
-    if d == 1:
-        return _make(kind, 1, 0.0, float(A[0, 0] / (2.0 * c2)))
-
-    def profile(rho):
-        R = _make(kind, d, rho, 1.0)
-        tr = float(np.sum(R.inverse() * A))
-        if tr <= 0:
-            return -np.inf
-        scale = tr / (2.0 * c2 * d)
-        return -c2 * (d * np.log(scale) + R.logdet()) - c2 * d
-
-    rho = _maximize_rho(profile, kind, d)
-    R = _make(kind, d, rho, 1.0)
-    scale = float(np.sum(R.inverse() * A)) / (2.0 * c2 * d)
-    return _make(kind, d, rho, scale)
+def update_scatter_direct(T, c1, kind, d):
+    """Dense S maximizing c1*log|S| - tr(S T)/2; FREE is 2 c1 T^-1."""
+    if kind == ScatterStructure.FREE:
+        return symmetrize(2.0 * c1 * np.linalg.inv(T))
+    return structured_scatter_direct(T, c1, kind, d).full()
 
 
 def update_scatter_inverse(A, c2, kind, d):
-    """Dense scatter maximizing -c2*log|S| - tr(S^-1 A)/2.
-
-    FREE gives the closed form A / (2 c2); structured kinds go through the
-    profile search.
-    """
+    """Dense S maximizing -c2*log|S| - tr(S^-1 A)/2; FREE is A / (2 c2)."""
     if kind == ScatterStructure.FREE:
         return A / (2.0 * c2)
-    return structured_scatter_inverse(A, c2, kind, d).full()
+    return _structured(A, c2, kind, d, direct=False).full()

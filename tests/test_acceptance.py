@@ -43,6 +43,7 @@ def report(num, name, ok, detail):
 # 1. degrees-of-freedom recovery
 
 
+@pytest.mark.slow
 def test_criterion_1_nu_recovery():
     spec = ExperimentSpec(
         name="nu-recovery",
@@ -283,6 +284,7 @@ def test_criterion_6_sampler_moments():
 # 7. timing asymmetry
 
 
+@pytest.mark.slow
 def test_criterion_7_timing_asymmetry():
     truth_tall = MxvtParams(5.0, np.zeros((60, 6)), np.eye(60), np.eye(6))
     truth_wide = MxvtParams(5.0, np.zeros((6, 60)), np.eye(6), np.eye(60))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from matvt.datamodel import (
+    Ar1Matrix,
+    CsMatrix,
     MatrixStack,
     MeanStructure,
     MxvtParams,
@@ -109,6 +111,23 @@ def test_badly_scaled_columns_still_fit(fit):
     )
 
 
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: EcmeConfig(nu="foo"), "nu"),
+        (lambda: EcmeConfig(nu=None), "nu"),
+        (lambda: EcmeConfig(nu=float("nan")), "nu"),
+        (lambda: EcmeConfig(nu_bounds=(2.0, np.inf)), "nu_bounds"),
+        (lambda: FitConfig(max_iter=2.5), "max_iter"),
+        (lambda: EcmeConfig(max_iter=2.5), "max_iter"),
+    ],
+    ids=["nu-str", "nu-none", "nu-nan", "nu-bounds-inf", "max-iter-float", "ecme-max-iter-float"],
+)
+def test_bad_config_field_is_named_at_construction(make, field):
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        make()
+
 @pytest.mark.parametrize("pooled", [False, True], ids=["stack", "groups"])
 @pytest.mark.parametrize(
     "fit, config",
@@ -160,3 +179,34 @@ def test_sample_size_warning_points_at_the_caller(fit):
     with pytest.warns(UserWarning, match="existence threshold") as record:
         fit(MatrixStack(_t_stack()[:3, :3, :3]), config)
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind", [ScatterStructure.FREE, ScatterStructure.AR1, ScatterStructure.CS])
+@pytest.mark.parametrize("fit", FITTERS)
+def test_fit_of_the_transpose_is_the_transposed_fit(fit, kind, seed):
+    # X ~ (M, Sigma, Omega, nu) exactly when X^T ~ (M^T, Omega, Sigma, nu).
+    # For the t the two sides differ: a structure on the rows goes through
+    # the direct form of the profile search, on the columns the inverse one
+    p, q = 4, 5
+    truth = MxvtParams(
+        6.0, np.arange(p * q).reshape(p, q) / 10, Ar1Matrix(p, 0.5).full(), CsMatrix(q, 0.3).full()
+    )
+    X = sample_mxvt(truth, 60, seed=seed).data
+
+    def fitted(data, structure):
+        config = CONFIGS[fit](tolerance=1e-13, max_iter=5000, structure=structure)
+        res = fit(MatrixStack(data), config)
+        assert res.converged
+        return res
+
+    rows = fitted(X, StructureSpec(row_scatter=kind))
+    cols = fitted(X.transpose(0, 2, 1), StructureSpec(col_scatter=kind))
+    a, b = rows.params, cols.params
+    assert cols.log_lik == pytest.approx(rows.log_lik, rel=1e-10)
+    if fit is mxvt_fit:
+        assert b.nu == pytest.approx(a.nu, rel=1e-5)
+    # each fit is normalized on its own row scatter, so compare shapes
+    for S, T in ((a.Sigma, b.Omega), (a.Omega, b.Sigma)):
+        np.testing.assert_allclose(S / S[0, 0], T / T[0, 0], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(a.M, b.M.T, rtol=0, atol=1e-6)

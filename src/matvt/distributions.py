@@ -82,7 +82,7 @@ def t_bracket(X, params):
     X, _ = _as_batch(X, params.p, params.q)
     Lo = np.linalg.cholesky(params.Omega)
     W = solve_lower_batch(Lo, (X - params.M).transpose(0, 2, 1))  # (n, q, p)
-    C = symmetrize(np.einsum("nki,nkj->nij", W, W)) + params.Sigma
+    C = symmetrize(W.transpose(0, 2, 1) @ W) + params.Sigma
     Lc = np.linalg.cholesky(C)
     logdet_c = 2.0 * np.log(np.diagonal(Lc, axis1=1, axis2=2)).sum(axis=1)
     return C, logdet_c

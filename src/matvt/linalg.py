@@ -3,10 +3,14 @@
 Quadratic forms and log-determinants go through Cholesky factors.  The
 fitters still invert where the update is a closed form in an inverse: the
 E-step weights C_i^-1 and the t fit's row scatter (sum S_i)^-1.
+
+Triangular solves invert the small d-by-d factor once and apply it with
+numpy ``matmul``, so numpy's BLAS does all of the work; no ``scipy.linalg``
+remains, whose own BLAS thread pool would compete with numpy's for the
+cores.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import SingularUpdateError
 
@@ -31,10 +35,7 @@ def safe_cholesky(A, what):
 
 def solve_lower_batch(L, B):
     """Solve L Y = B_i for a stack B of shape (n, d, m) with L (d, d) lower."""
-    n, d, m = B.shape
-    flat = B.transpose(1, 0, 2).reshape(d, n * m)
-    Y = sla.solve_triangular(L, flat, lower=True)
-    return Y.reshape(d, n, m).transpose(1, 0, 2)
+    return np.linalg.inv(L) @ B
 
 
 def symmetrize(A):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .datamodel import (
     MatrixStack,
@@ -209,8 +208,9 @@ def mxvn_fit(data, config=None):
         Omega = update_scatter_inverse(A, n * p / 2.0, structure.col_scatter, q)
         Lo, logdet_o = safe_cholesky(Omega, "column scatter")
 
-        # sum_i tr(Omega^-1 D_i^T Sigma^-1 D_i) = tr(Omega^-1 A)
-        quad = np.trace(cho_solve((Lo, True), A))
+        # sum_i tr(Omega^-1 D_i^T Sigma^-1 D_i) = tr(Omega^-1 A) = tr(Lo^-1 A Lo^-T)
+        Lo_inv = np.linalg.inv(Lo)
+        quad = np.sum(Lo_inv * (Lo_inv @ A))
         ll = float(_mxvn_loglik(p, q, logdet_s, logdet_o, quad, n))
         return ([MxvnParams(M, Sigma, Omega) for M in means], Lo), ll
 

@@ -84,11 +84,12 @@ def estep(data, C, nu):
         raise ValueError(f"brackets are {C.shape} but data needs {(n, p, p)}")
     Z = symmetrize(np.linalg.inv(C))
     X = data.data
+    ZX = Z @ X
     kappa = nu + p + q - 1
     return SufficientStats(
         s_s=kappa * Z.sum(axis=0),
-        s_sx=kappa * (Z @ X).sum(axis=0),
-        s_xsx=kappa * symmetrize(np.einsum("nio,nij,njt->ot", X, Z, X)),
+        s_sx=kappa * ZX.sum(axis=0),
+        s_xsx=kappa * symmetrize(X.reshape(n * p, q).T @ ZX.reshape(n * p, q)),
         n=n,
     )
 

@@ -121,6 +121,17 @@ def test_timing_excludes_warmup():
     assert summaries[0]["median_sec_per_iter"] > 0
 
 
+def test_timing_runs_at_the_papers_large_cell():
+    # the 100x100 cell of the default timing grid, at a small n
+    spec = ExperimentSpec(
+        name="timing", cells=[{"p": 100, "q": 100, "n": 20}], replicates=1, seed=0
+    )
+    rows, _ = timing(spec)
+    assert len(rows) == 1
+    assert rows[0]["iterations"] > 0
+    assert np.isfinite(rows[0]["sec_per_iter"])
+
+
 def test_run_experiment_dispatch():
     spec = ExperimentSpec(
         name="nu-recovery",

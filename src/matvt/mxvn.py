@@ -8,7 +8,9 @@ with its own mean and all sharing Sigma and Omega.
 
 Both fitters run one driver, :func:`_iterate`, which owns the loop, the
 trace, the stopping rule and the :class:`FitResult`; each family supplies
-only a start and one step.
+a start and one step, and the t fit also the coordinates in which the
+driver extrapolates its steps (SQUAREM).  The flip-flop takes 4-6 sweeps
+on the paper's cells, fewer than one SQUAREM cycle, and passes none.
 """
 
 import warnings
@@ -133,17 +135,31 @@ def as_groups(data):
     return [data], True
 
 
-def _iterate(step, state, config, single):
+def _iterate(step, state, config, single, coords=None):
     """Run the fixed-point map ``step`` from ``state``; the one fitting loop.
 
     ``step`` maps a state to ``(next_state, log_lik)``, and the first item
     of a state is the list of per-group parameters.  The loop stops once
     |l_k - l_(k-1)| / (|l_(k-1)| + 1) < ``config.tolerance``, which cannot
-    happen at the first step, or after ``config.max_iter`` steps.  Returns
-    the :class:`FitResult`, with the parameters normalized and unwrapped
-    from their list when ``single``, and the last state.
+    happen at the first step, or after ``config.max_iter`` steps.  Every
+    call of ``step`` is one iteration and one entry of the trace.
+
+    ``coords``, a pair of maps ``(to_vector, from_vector)``, accelerates the
+    loop by SQUAREM scheme S3 (Varadhan and Roland, 2008).  ``to_vector``
+    gives a state's unconstrained coordinates, or None for a state that
+    must take the plain step; ``from_vector`` gives back ``(state,
+    log_lik)``, or None for coordinates that name no valid state.  A cycle
+    is three steps: from theta_0, theta_1 = F(theta_0) and theta_2 =
+    F(theta_1) give the extrapolated theta', and the third step starts from
+    theta' when its log-likelihood is no lower than theta_2's, else from
+    theta_2.  The third step's result is the next cycle's theta_0, so the
+    trace never falls.  No extrapolation follows the last step, which
+    keeps a fit cut short by ``max_iter`` the first steps of the full fit.
+
+    Returns the :class:`FitResult`, with the parameters normalized and
+    unwrapped from their list when ``single``, and the last state.
     """
-    trace = []
+    trace, cycle = [], []
     for iterations in range(1, config.max_iter + 1):
         state, ll = step(state)
         trace.append(ll)
@@ -152,6 +168,12 @@ def _iterate(step, state, config, single):
         )
         if converged:
             break
+        if coords and iterations < config.max_iter:
+            x = coords[0](state)
+            cycle = [] if x is None else cycle + [x]
+            if len(cycle) == 3:
+                state = _extrapolated(cycle, state, ll, coords[1])
+                cycle = []
     params = [normalize_identifiability(prm) for prm in state[0]]
     return FitResult(
         params=params[0] if single else params,
@@ -160,6 +182,23 @@ def _iterate(step, state, config, single):
         converged=converged,
         log_lik_trace=np.array(trace),
     ), state
+
+
+def _extrapolated(cycle, state, ll, from_vector):
+    """The S3 point theta_0 - 2 a r + a^2 v from a cycle's three coordinate
+    vectors, with r = theta_1 - theta_0, v = theta_2 - theta_1 - r and the
+    step a = min(-|r| / |v|, -1); ``state``, theta_2 with log-likelihood
+    ``ll``, where that point is not finite, not valid or no better."""
+    x0, x1, x2 = cycle
+    r = x1 - x0
+    v = x2 - x1 - r
+    with np.errstate(all="ignore"):
+        a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+        x = x0 - 2.0 * a * r + a * a * v
+    if not np.isfinite(x).all():
+        return state
+    tried = from_vector(x)
+    return tried[0] if tried is not None and tried[1] >= ll else state
 
 
 def _whitened_gram(L, D):

@@ -11,6 +11,15 @@ Sigma, Omega and nu (the pooled discriminant model).
 The E-step weights and the log-likelihood share the bracket C_i, which does
 not depend on nu.  It is taken once per group per iteration, after the CM
 step: log|C_i| gives the log-likelihood and C the next iteration's E-step.
+
+ECME converges linearly at a rate near 1, so a fit with free Sigma and Omega
+hands the iteration driver coordinates for SQUAREM (see
+:func:`matvt.mxvn._iterate`): the group means, the log-diagonal and the
+below-diagonal of the Cholesky factors of Sigma and Omega, which each step
+keeps, and logit(nu) on ``nu_bounds`` when nu is estimated.  Mapping an
+extrapolated point back takes its brackets, which give its log-likelihood
+and serve the E-step of the step from it.  AR(1) and compound-symmetry
+scatters take the plain step, as does a state with nu on a bound.
 """
 
 from dataclasses import dataclass
@@ -18,8 +27,9 @@ from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import expit, logit
 
-from .datamodel import MatrixStack, MeanStructure, MxvtParams, StructureSpec
+from .datamodel import MatrixStack, MeanStructure, MxvtParams, ScatterStructure, StructureSpec
 from .distributions import _mxvt_loglik, t_bracket
 from .errors import SingularUpdateError
 from .linalg import safe_cholesky, symmetrize
@@ -158,7 +168,9 @@ def mxvt_fit(data, config=None):
     When ``config.nu == "estimate"``, the second CM step maximizes the
     observed log-likelihood over nu by :func:`solve_nu` and never lowers
     it, so the log-likelihood trace is non-decreasing.  When nu is fixed
-    the second CM step is skipped.
+    the second CM step is skipped.  With free Sigma and Omega the steps run
+    in SQUAREM cycles (see the module docstring); ``iterations`` still
+    counts ECME steps.
 
     A nu estimate landing on a bound is reported with ``converged=False``
     and ``nu_at_bound=True`` rather than raising.  A row scatter that makes
@@ -184,13 +196,13 @@ def mxvt_fit(data, config=None):
             raise SingularUpdateError("row scatter makes a bracket C_i singular") from None
 
     def ecme(state):
-        params, nu_interior, brackets = state
+        params, nu_interior, brackets, _ = state
         nu = params[0].nu
         stats = [estep(g, C, nu) for g, (C, _) in zip(groups, brackets)]
         means, Sigma, Omega = cme1(stats, nu, structure, prev_omega=params[0].Omega)
 
-        _, logdet_s = safe_cholesky(Sigma, "row scatter")
-        _, logdet_o = safe_cholesky(Omega, "column scatter")
+        Ls, logdet_s = safe_cholesky(Sigma, "row scatter")
+        Lo, logdet_o = safe_cholesky(Omega, "column scatter")
         brackets = brackets_at([MxvtParams(nu, M, Sigma, Omega) for M in means])
         sum_logdet_c = sum(float(logdet_c.sum()) for _, logdet_c in brackets)
         ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
@@ -198,12 +210,49 @@ def mxvt_fit(data, config=None):
         if estimate:
             nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds)
         params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
-        return (params, nu_interior, brackets), float(ll_of(nu))
+        return (params, nu_interior, brackets, (Ls, Lo)), float(ll_of(nu))
+
+    # the SQUAREM coordinates, in the order the module docstring lists them
+    rows, cols = np.tril_indices(p, -1), np.tril_indices(q, -1)
+    sizes = np.cumsum([len(groups) * p * q, p, len(rows[0]), q, len(cols[0])])
+
+    def to_vector(state):
+        params, nu_interior, _, (Ls, Lo) = state
+        if not nu_interior:
+            return None
+        parts = [prm.M.ravel() for prm in params]
+        parts += [np.log(np.diag(Ls)), Ls[rows], np.log(np.diag(Lo)), Lo[cols]]
+        if estimate:
+            parts.append([logit((params[0].nu - lo) / (hi - lo))])
+        return np.concatenate(parts)
+
+    def from_vector(x):
+        means, log_ds, off_s, log_do, off_o, z = np.split(x, sizes)
+        with np.errstate(all="ignore"):
+            Ls, Lo = np.diag(np.exp(log_ds)), np.diag(np.exp(log_do))
+            Ls[rows], Lo[cols] = off_s, off_o
+            nu = lo + (hi - lo) * float(expit(z[0])) if estimate else float(config.nu)
+            Sigma, Omega = Ls @ Ls.T, Lo @ Lo.T
+            params = [MxvtParams(nu, M, Sigma, Omega) for M in means.reshape(-1, p, q)]
+            try:
+                brackets = brackets_at(params)
+            except SingularUpdateError:
+                return None
+            sum_logdet_c = sum(float(logdet_c.sum()) for _, logdet_c in brackets)
+            ll = float(_mxvt_loglik(
+                nu, p, q, 2.0 * log_ds.sum(), 2.0 * log_do.sum(), sum_logdet_c, n
+            ))
+        if not np.isfinite(ll):
+            return None
+        return (params, not estimate or lo < nu < hi, brackets, (Ls, Lo)), ll
 
     nu = min(max(10.0, lo + 1e-3), hi - 1e-3) if estimate else float(config.nu)
     start = [MxvtParams(nu, g.data.mean(axis=0), np.eye(p), np.eye(q)) for g in groups]
-    state = (start, True, brackets_at(start))
-    result, (_, nu_interior, _) = _iterate(ecme, state, config, single)
+    # the start's Sigma = I and Omega = I are their own Cholesky factors
+    state = (start, True, brackets_at(start), (np.eye(p), np.eye(q)))
+    free = structure.row_scatter == structure.col_scatter == ScatterStructure.FREE
+    coords = (to_vector, from_vector) if free else None
+    result, (_, nu_interior, _, _) = _iterate(ecme, state, config, single, coords)
     result.nu_at_bound = estimate and not nu_interior
     result.converged = result.converged and not result.nu_at_bound
     return result

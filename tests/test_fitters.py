@@ -39,9 +39,11 @@ def test_safe_cholesky_raises_without_retry():
 
 
 @pytest.mark.parametrize("fit, per_group, fixed", [(mxvn_fit, 0, 0), (mxvt_fit, 1, 1)])
-def test_each_scatter_is_factored_once_per_iteration(monkeypatch, fit, per_group, fixed):
+def test_each_scatter_is_factored_once_per_iteration(monkeypatch, squarem, fit, per_group, fixed):
     # Sigma and Omega once each per iteration; the t fit's brackets also
-    # factor Omega once per group, at the start and in every iteration
+    # factor Omega once per group, at the start, in every iteration and at
+    # every extrapolated point tried, which factors nothing else.  Only the
+    # free t fit extrapolates; with AR(1) rows it takes the plain step
     groups = [MatrixStack(_t_stack(30 + 5 * g, seed=40 + g)) for g in range(3)]
     cholesky = np.linalg.cholesky
     calls = []
@@ -51,10 +53,14 @@ def test_each_scatter_is_factored_once_per_iteration(monkeypatch, fit, per_group
         return cholesky(A)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    res = fit(groups)
-    assert res.iterations > 1
     G = len(groups)
-    assert calls.count(2) == (2 + per_group * G) * res.iterations + fixed * G
+    for rows in (ScatterStructure.FREE, ScatterStructure.AR1):
+        calls.clear()
+        res = fit(groups, CONFIGS[fit](structure=StructureSpec(row_scatter=rows)))
+        assert res.iterations > 1
+        assert (squarem.tried > 0) == (fit is mxvt_fit and rows == ScatterStructure.FREE)
+        plain = (2 + per_group * G) * res.iterations + fixed * G
+        assert calls.count(2) == plain + per_group * G * squarem.tried
 
 
 def _constant_column(X):
@@ -110,6 +116,16 @@ def test_badly_scaled_columns_still_fit(fit):
         scaled.params.Omega, plain.params.Omega * np.outer(scale, scale), rtol=1e-2
     )
 
+
+def test_free_t_fit_takes_at_most_half_the_plain_steps():
+    # the plain ECME step takes 66 iterations on this stack; SQUAREM must
+    # halve that and still end where a tight fit ends
+    X = MatrixStack(_t_stack())
+    res = mxvt_fit(X)
+    tight = mxvt_fit(X, EcmeConfig(tolerance=1e-13, max_iter=5000))
+    assert res.converged and tight.converged
+    assert res.iterations <= 33
+    assert res.log_lik == pytest.approx(tight.log_lik, rel=1e-7)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matvt import mxvt
 from matvt.datamodel import (
     Ar1Matrix,
     MatrixStack,
@@ -10,7 +15,7 @@ from matvt.datamodel import (
     StructureSpec,
 )
 from matvt.distributions import make_rng, mxvt_logpdf, sample_mxvt, t_bracket
-from matvt.mxvt import EcmeConfig, cme1, estep, mxvt_fit, solve_nu
+from matvt.mxvt import NU_ESTIMATE, EcmeConfig, cme1, estep, mxvt_fit, solve_nu
 
 from conftest import random_spd
 
@@ -168,9 +173,10 @@ def test_fit_flags_nu_at_the_upper_bound():
 # full ECME fit
 
 
-def test_fit_takes_one_bracket_per_group_per_iteration(rng, monkeypatch):
+def test_fit_takes_one_bracket_per_group_per_iteration(rng, monkeypatch, squarem):
     # one bracket per group at the start, then one per group per iteration
-    # that serves both the log-likelihood and the next E-step
+    # that serves both the log-likelihood and the next E-step, and one per
+    # group at every extrapolated point tried, which serves the step from it
     calls = []
 
     def counted(X, params):
@@ -180,11 +186,17 @@ def test_fit_takes_one_bracket_per_group_per_iteration(rng, monkeypatch):
     monkeypatch.setattr("matvt.mxvt.t_bracket", counted)
     params = _true_params(rng, p=3, q=2, nu=6.0)
     groups = [sample_mxvt(params, 30 + 5 * g, seed=40, stream=g) for g in range(3)]
-    for config in (EcmeConfig(), EcmeConfig(nu=6.0)):
+    ar1_rows = StructureSpec(row_scatter=ScatterStructure.AR1)
+    for config, accelerated in (
+        (EcmeConfig(), True),
+        (EcmeConfig(nu=6.0), True),
+        (EcmeConfig(structure=ar1_rows), False),
+    ):
         calls.clear()
         res = mxvt_fit(groups, config)
         assert res.iterations > 1
-        assert calls == [30, 35, 40] * (res.iterations + 1)
+        assert (squarem.tried > 0) == accelerated
+        assert calls == [30, 35, 40] * (res.iterations + 1 + squarem.tried)
 
 
 def test_fit_monotone_loglik(rng):
@@ -310,3 +322,105 @@ def test_config_validation():
         EcmeConfig(nu_bounds=(10.0, 2.0))
     assert EcmeConfig().estimate_nu
     assert not EcmeConfig(nu=5.0).estimate_nu
+
+
+# ---------------------------------------------------------------------------
+# SQUAREM
+
+
+def _squarem_data(p, q, pooled, seed=5):
+    truth = MxvtParams(6.0, np.arange(p * q).reshape(p, q) / 10.0, np.eye(p), np.eye(q))
+    X = sample_mxvt(truth, 40, seed=seed).data
+    return [MatrixStack(X[:20]), MatrixStack(X[20:] + 1.0)] if pooled else MatrixStack(X)
+
+
+def _close(got, want, rtol=1e-14):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (1, 3), (4, 1)])
+@pytest.mark.parametrize("pooled", [False, True], ids=["stack", "groups"])
+@pytest.mark.parametrize(
+    "nu", [NU_ESTIMATE, 6.0, 1500.0], ids=["estimated-nu", "fixed-nu", "fixed-nu-past-the-bounds"]
+)
+def test_squarem_coordinates_round_trip(squarem, p, q, pooled, nu):
+    res = mxvt_fit(_squarem_data(p, q, pooled), EcmeConfig(nu=nu, max_iter=4))
+    to_vector, from_vector = squarem.coords
+    x = to_vector(squarem.state)
+    assert len(x) == (2 if pooled else 1) * p * q + p * (p + 1) // 2 + q * (q + 1) // 2 + (
+        nu == NU_ESTIMATE
+    )
+    state, ll = from_vector(x)
+    assert _close(to_vector(state), x)
+    for got, want in zip(state[0], squarem.state[0]):
+        for name in ("nu", "M", "Sigma", "Omega"):
+            assert _close(getattr(got, name), getattr(want, name)), name
+    # the log-likelihood at the mapped-back state is the step's own, to
+    # rounding that the weight kappa = nu + p + q - 1 scales up
+    assert ll == pytest.approx(res.log_lik_trace[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("how", ["collinear", "lower", "overflow", "singular"])
+def test_failed_extrapolation_takes_the_plain_step(monkeypatch, how):
+    # collinear: theta_0, theta_1, theta_2 evenly spaced, so v = 0 and
+    # theta' is not finite; lower: a valid theta' far off the maximum;
+    # overflow: a theta' whose factors overflow; singular: a theta' whose
+    # factors underflow to zero, so its brackets are singular.  Each time
+    # the third step starts from theta_2: the fit is the plain one, and no
+    # warning is raised
+    data = _squarem_data(4, 3, pooled=False)
+    iterate = mxvt._iterate
+    monkeypatch.setattr(mxvt, "_iterate", lambda step, state, config, single, coords: iterate(
+        step, state, config, single))
+    plain = mxvt_fit(data)
+    mapped = []
+
+    def forced(step, state, config, single, coords):
+        to_vector, from_vector = coords
+        if how == "collinear":
+            steps = itertools.count()
+            to_vector = lambda s: np.full(3, float(next(steps)))
+        shift = {"collinear": 0.0, "lower": 10.0, "overflow": 1e3, "singular": -1e3}[how]
+
+        def shifted(x):
+            mapped.append(from_vector(x + shift))
+            return mapped[-1]
+
+        return iterate(step, state, config, single, (to_vector, shifted))
+
+    monkeypatch.setattr(mxvt, "_iterate", forced)
+    res = mxvt_fit(data)
+    if how == "collinear":
+        assert not mapped
+    else:
+        assert mapped and all((got is None) == (how != "lower") for got in mapped)
+    assert res.iterations == plain.iterations > 3
+    assert np.array_equal(res.log_lik_trace, plain.log_lik_trace)
+    assert res.params.nu == plain.params.nu
+    np.testing.assert_array_equal(res.params.Sigma, plain.params.Sigma)
+
+
+def test_fit_cut_at_a_cycle_end_reports_the_parameters_it_scored():
+    # a cycle extrapolates after its third step; a fit whose max_iter ends
+    # there must not return the extrapolated point with the step's log-lik
+    X = _squarem_data(4, 3, pooled=False)
+    for k in (3, 6, 9):
+        res = mxvt_fit(X, EcmeConfig(max_iter=k))
+        assert res.iterations == k
+        assert res.log_lik == pytest.approx(float(mxvt_logpdf(X.data, res.params).sum()), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 4), q=st.integers(1, 4), seed=st.integers(0, 2**16),
+    estimate=st.booleans(),
+)
+def test_accelerated_trace_never_falls(p, q, seed, estimate):
+    rng = np.random.default_rng(seed)
+    nu = float(rng.uniform(3.0, 30.0))
+    truth = MxvtParams(nu, rng.standard_normal((p, q)), random_spd(rng, p), random_spd(rng, q))
+    res = mxvt_fit(sample_mxvt(truth, 30, seed=seed), EcmeConfig(nu=NU_ESTIMATE if estimate else nu))
+    # the tolerance of the benchmark's trace check
+    floor = -1e-10 * (1.0 + abs(res.log_lik))
+    assert np.diff(res.log_lik_trace).min() >= floor

@@ -186,6 +186,13 @@ def normalize_identifiability(params):
     return replace(params, Sigma=params.Sigma / s, Omega=params.Omega * s)
 
 
+def corr_logdet(kind, d, rho):
+    """log|R(rho)| for AR(1), or CS with eigenvalues 1 + (d-1) rho and 1 - rho (d-1 times)."""
+    if kind == ScatterStructure.AR1:
+        return (d - 1) * np.log1p(-rho**2)
+    return np.log1p((d - 1) * rho) + (d - 1) * np.log1p(-rho)
+
+
 @dataclass(frozen=True)
 class Ar1Matrix:
     """scale * R where R[i,j] = rho**|i-j| (first-order autoregressive)."""
@@ -207,8 +214,7 @@ class Ar1Matrix:
         return self.scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
 
     def logdet(self):
-        # |scale * R| = scale^d * (1 - rho^2)^(d-1)
-        return self.dim * np.log(self.scale) + (self.dim - 1) * np.log1p(-self.rho**2)
+        return self.dim * np.log(self.scale) + corr_logdet(ScatterStructure.AR1, self.dim, self.rho)
 
     def inverse(self):
         """Closed-form tridiagonal inverse of the AR(1) matrix."""
@@ -251,9 +257,7 @@ class CsMatrix:
         return self.scale * ((1.0 - self.rho) * np.eye(d) + self.rho * np.ones((d, d)))
 
     def logdet(self):
-        # eigenvalues: 1 + (d-1) rho (once) and 1 - rho (d-1 times)
-        d, r = self.dim, self.rho
-        return d * np.log(self.scale) + np.log1p((d - 1) * r) + (d - 1) * np.log1p(-r)
+        return self.dim * np.log(self.scale) + corr_logdet(ScatterStructure.CS, self.dim, self.rho)
 
     def inverse(self):
         """Sherman-Morrison inverse of the compound-symmetry matrix."""

@@ -12,6 +12,7 @@ X (Fortran order), under which the matrix normal satisfies
 """
 
 import numpy as np
+from scipy.special import gammaln
 
 from .datamodel import MatrixStack, MxvtParams
 from .linalg import cholesky_logdet, solve_lower_batch, symmetrize
@@ -101,6 +102,13 @@ def _mxvt_loglik(nu, p, q, logdet_s, logdet_o, logdet_c, n=1):
         - 0.5 * n * q * logdet_s
         - 0.5 * kappa * (logdet_c - n * logdet_s)
     )
+
+
+def _mxvt_nu_part(p, q, excess, n):
+    """nu -> the terms of :func:`_mxvt_loglik` in nu, for excess = sum log|C_i| - n log|Sigma|;
+    its log Gamma_p difference is one ``gammaln`` over (nu + k)/2, k = q..q+p-1 and 0..p-1."""
+    half, weight = np.r_[q:q + p, 0:p] / 2.0, np.repeat([float(n), -float(n)], p)
+    return lambda nu: float(gammaln(0.5 * nu + half) @ weight) - 0.5 * (nu + p + q - 1) * excess
 
 
 def mxvt_logpdf(X, params):

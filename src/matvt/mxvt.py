@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 
 from .datamodel import MatrixStack, MeanStructure, MxvtParams, ScatterStructure, StructureSpec
-from .distributions import _mxvt_loglik, t_bracket
+from .distributions import _mxvt_loglik, _mxvt_nu_part, t_bracket
 from .errors import SingularUpdateError
 from .linalg import safe_cholesky, symmetrize
 from .mxvn import FitConfig, _iterate, as_groups, check_fit_data
@@ -138,9 +138,10 @@ def solve_nu(ll_of, nu, bounds=(2.0, 1000.0)):
     """Maximize the observed log-likelihood ``ll_of`` over nu on ``bounds``.
 
     ``ll_of`` is the log-likelihood as a function of nu alone, with the
-    other parameters fixed, and ``nu`` the current value, which is kept
-    when the search does not beat it.  Returns ``(nu, interior)``, where
-    ``interior`` is False for a value on a bound.
+    other parameters fixed, up to a constant (``mxvt_fit`` passes the scalar
+    ``_mxvt_nu_part``), and ``nu`` the current value, which is kept when the
+    search does not beat it.  Returns ``(nu, interior)``, where ``interior``
+    is False for a value on a bound.
     """
     lo, hi = bounds
     res = minimize_scalar(
@@ -205,12 +206,12 @@ def mxvt_fit(data, config=None):
         Lo, logdet_o = safe_cholesky(Omega, "column scatter")
         brackets = brackets_at([MxvtParams(nu, M, Sigma, Omega) for M in means])
         sum_logdet_c = sum(float(logdet_c.sum()) for _, logdet_c in brackets)
-        ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
-
         if estimate:
-            nu, nu_interior = solve_nu(ll_of, nu, config.nu_bounds)
+            nu_part = _mxvt_nu_part(p, q, sum_logdet_c - n * logdet_s, n)
+            nu, nu_interior = solve_nu(nu_part, nu, config.nu_bounds)
         params = [MxvtParams(nu, M, Sigma, Omega) for M in means]
-        return (params, nu_interior, brackets, (Ls, Lo)), float(ll_of(nu))
+        ll = _mxvt_loglik(nu, p, q, logdet_s, logdet_o, sum_logdet_c, n)
+        return (params, nu_interior, brackets, (Ls, Lo)), float(ll)
 
     # the SQUAREM coordinates, in the order the module docstring lists them
     rows, cols = np.tril_indices(p, -1), np.tril_indices(q, -1)

@@ -6,13 +6,17 @@ normal fit).  A scatter update maximizes the direct form
 c log|S| - tr(S T)/2 (the t fit's row scatter, which enters its Wishart
 part) or the inverse form -c log|S| - tr(S^-1 A)/2 (every other update).
 The inverse form is the direct form in S^-1, so one profile search fits
-an AR(1) or compound-symmetry scatter scale * R(rho) in either form.
+an AR(1) or compound-symmetry scatter scale * R(rho) in either form, and
+each of its evaluations is scalar arithmetic on sums of the statistic.
 """
+
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .datamodel import Ar1Matrix, CsMatrix, MeanStructure, ScatterStructure
+from .datamodel import Ar1Matrix, CsMatrix, MeanStructure, ScatterStructure, corr_logdet
+from .errors import SingularUpdateError
 from .linalg import symmetrize
 
 _RHO_TOL = 1e-7
@@ -70,28 +74,52 @@ def _maximize_rho(profile, kind, d):
     return edge if profile(edge) >= best else rho
 
 
+def _trace_form(stat, kind, d, direct):
+    """rho -> tr(P stat), P = R(rho) (direct) or R(rho)^-1, from sums of ``stat`` taken once.
+
+    AR(1): tr(R T) is a polynomial in T's band sums, and R^-1 is tridiagonal.
+    CS: both forms need only tr(stat) and 1^T stat 1 (R^-1 by Sherman-Morrison).
+    """
+    t = float(np.trace(stat))
+    if kind == ScatterStructure.CS:
+        s = float(stat.sum())
+        if direct:
+            return lambda r: (1.0 - r) * t + r * s
+        return lambda r: (t - r * s / (1.0 + (d - 1) * r)) / (1.0 - r)
+    idx = np.arange(d)
+    # bands[k] sums both k-th off-diagonals of stat (bands[0] is its trace, bands[d] is 0)
+    bands = np.bincount(abs(idx[:, None] - idx).ravel(), weights=stat.ravel(), minlength=d + 1)
+    if direct:
+        coeffs = bands[:d][::-1].tolist()
+        return lambda r: reduce(lambda acc, b: acc * r + b, coeffs, 0.0)
+    # R^-1 (1 - rho^2) has 1 + rho^2 on the diagonal but 1 at both corners, -rho beside it
+    off, ends = float(bands[1]), float(t - stat[0, 0] - stat[-1, -1])
+    return lambda r: (t + r * r * ends - r * off) / (1.0 - r * r)
+
+
 def _structured(stat, c, kind, d, direct):
     """Maximize the direct (``direct=True``) or inverse form over scale * R(rho).
 
     Both read c log|P| - tr(P stat)/2, with P = u R (direct, S = P) or
     P = u R^-1 (inverse, S = P^-1).  At each rho the scale u = 2cd / tr(P stat)
-    is closed form and the profile is c (d log u + log|R^+-1|).  d = 1 has
-    rho = 0 and no search.
+    is closed form and the profile is c (d log u + log|R^+-1|).  d = 1 has rho = 0
+    and no search.  A zero statistic (no positive u) raises SingularUpdateError.
     """
+    trace = _trace_form(stat, kind, d, direct)
+    sign = 1.0 if direct else -1.0
+
+    def profile(rho):
+        tr = trace(rho)
+        if not tr > 0:
+            return -np.inf
+        return c * (d * np.log(2.0 * c * d / tr) + sign * corr_logdet(kind, d, rho))
+
+    rho = _maximize_rho(profile, kind, d) if d > 1 else 0.0
+    tr = trace(rho)
+    if not tr > 0:
+        raise SingularUpdateError(f"{kind.value} scatter update is not positive definite")
+    u = 2.0 * c * d / tr
     cls = Ar1Matrix if kind == ScatterStructure.AR1 else CsMatrix
-
-    def fit(rho):
-        # (u, profile) at rho
-        R = cls(d, rho)
-        P, logdet = (R.full(), R.logdet()) if direct else (R.inverse(), -R.logdet())
-        tr = float(np.sum(P * stat))
-        if tr <= 0:
-            return np.nan, -np.inf
-        u = 2.0 * c * d / tr
-        return u, c * (d * np.log(u) + logdet)
-
-    rho = _maximize_rho(lambda r: fit(r)[1], kind, d) if d > 1 else 0.0
-    u = fit(rho)[0]
     return cls(d, rho, u if direct else 1.0 / u)
 
 

@@ -10,6 +10,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from matvt import mxvt
+from matvt.datamodel import MxvtParams
+from matvt.distributions import sample_mxvt
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -32,3 +38,22 @@ def test_traced_names_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert not missing, f"traced names missing from matvt: {missing}"
+
+
+def test_nu_span_sees_every_nu_step(monkeypatch):
+    # the benchmark times the nu search through ``matvt.mxvt.minimize_scalar``
+    # (``NU_FALLBACK``); an estimated-nu fit must enter it once per ECME step,
+    # or the traced ``mxvt.nu_fallback.*`` metrics stop measuring the nu step
+    module, attr, _ = _load_spans(monkeypatch).NU_FALLBACK
+    assert (module, attr) == ("matvt.mxvt", "minimize_scalar")
+    search = mxvt.minimize_scalar
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(mxvt, "minimize_scalar", counted)
+    truth = MxvtParams(6.0, np.zeros((4, 3)), np.eye(4), np.eye(3))
+    res = mxvt.mxvt_fit(sample_mxvt(truth, 60, seed=3))
+    assert res.iterations > 1 and len(calls) == res.iterations

@@ -176,6 +176,19 @@ def test_duplicated_row_under_a_constrained_mean_names_the_row_scatter(fit):
         fit(MatrixStack(_duplicated_row(_t_stack())), CONFIGS[fit](structure=structure))
 
 
+@pytest.mark.parametrize("kind", [ScatterStructure.AR1, ScatterStructure.CS])
+@pytest.mark.parametrize("fit", FITTERS)
+def test_constant_data_under_a_constrained_mean_is_a_singular_update(fit, kind):
+    # the residuals are zero, so a structured scatter update has no positive
+    # scale at any rho; whichever scatter is structured, the fit raises a
+    # matvt error, not the matrix class's ValueError for a NaN scale
+    X = MatrixStack(np.full((20, 4, 3), 2.5))
+    for where in ("row_scatter", "col_scatter"):
+        structure = StructureSpec(mean=MeanStructure.CONSTANT, **{where: kind})
+        with pytest.raises(SingularUpdateError):
+            fit(X, CONFIGS[fit](structure=structure))
+
+
 def test_data_scale_that_swamps_the_t_start_names_the_row_scatter():
     # C_i = D_i D_i^T + Sigma at the start Sigma = I, and D_i D_i^T has rank
     # q < p, so at a large enough scale Sigma falls below rounding

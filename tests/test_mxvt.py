@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from matvt import mxvt
 from matvt.datamodel import (
@@ -14,8 +15,16 @@ from matvt.datamodel import (
     ScatterStructure,
     StructureSpec,
 )
-from matvt.distributions import make_rng, mxvt_logpdf, sample_mxvt, t_bracket
-from matvt.mxvt import NU_ESTIMATE, EcmeConfig, cme1, estep, mxvt_fit, solve_nu
+from matvt.distributions import (
+    _mxvt_loglik,
+    _mxvt_nu_part,
+    make_rng,
+    mxvt_logpdf,
+    sample_mxvt,
+    t_bracket,
+)
+from matvt.mxvt import NU_ESTIMATE, NU_TOL, EcmeConfig, cme1, estep, mxvt_fit, solve_nu
+from matvt.specfun import lmvgamma
 
 from conftest import random_spd
 
@@ -158,6 +167,45 @@ def test_solve_nu_keeps_current_nu_the_search_cannot_beat():
     assert interior and nu_hat == pytest.approx(7.3, abs=1e-5)
 
 
+def _nu_terms(p, q, n, nu_max):
+    # log|Sigma|, log|Omega| and sum log|C_i| that put the maximum of the
+    # log-likelihood over nu at nu_max: its nu-derivative is
+    # (n/2) sum_i [psi((nu+p+q-i)/2) - psi((nu+p-i)/2)] - excess/2
+    i = np.arange(1, p + 1)
+    excess = n * (digamma((nu_max + p + q - i) / 2) - digamma((nu_max + p - i) / 2)).sum()
+    logdet_s, logdet_o = 0.7 * p, -0.3 * q
+    return logdet_s, logdet_o, excess + n * logdet_s
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("q", range(1, 7))
+def test_nu_part_is_the_loglik_up_to_a_constant(p, q):
+    n = 40
+    logdet_s, logdet_o, sum_logdet_c = _nu_terms(p, q, n, nu_max=8.0)
+    part = _mxvt_nu_part(p, q, sum_logdet_c - n * logdet_s, n)
+    grid = np.geomspace(2.0, 1000.0, 60)
+    ll = np.array([_mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n) for v in grid])
+    gap = np.array([part(v) for v in grid]) - ll
+    # rounding of terms as large as n log Gamma_p at the upper bound
+    scale = n * lmvgamma(p, (grid[-1] + p + q - 1) / 2)
+    assert np.ptp(gap) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("nu_max", [3.0, 8.0, 0.5, 5000.0], ids=["3", "8", "below", "above"])
+def test_nu_search_on_the_nu_part_finds_the_loglik_maximizer(p, q, nu_max):
+    # a maximum below the lower bound or above the upper bound ends on the bound
+    n = 40
+    logdet_s, logdet_o, sum_logdet_c = _nu_terms(p, q, n, nu_max)
+    part = _mxvt_nu_part(p, q, sum_logdet_c - n * logdet_s, n)
+    ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
+    got, interior = solve_nu(part, 10.0)
+    want, want_interior = solve_nu(ll_of, 10.0)
+    assert abs(got - want) <= NU_TOL
+    assert interior == want_interior == (2.0 < nu_max < 1000.0)
+
+
 def test_fit_flags_nu_at_the_upper_bound():
     # replicate 10 of criterion 1's nu=20, n=35 cell: its nu estimate runs to
     # the upper bound; the bounded search alone stops about 1.5e-5 short of
@@ -197,6 +245,27 @@ def test_fit_takes_one_bracket_per_group_per_iteration(rng, monkeypatch, squarem
         assert res.iterations > 1
         assert (squarem.tried > 0) == accelerated
         assert calls == [30, 35, 40] * (res.iterations + 1 + squarem.tried)
+
+
+def test_estimated_nu_fit_scores_once_per_step_and_extrapolation(rng, monkeypatch, squarem):
+    # the nu search evaluates the scalar nu part; the full log-likelihood is
+    # taken once per ECME step, for the trace, and once per extrapolated
+    # point mapped back
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _mxvt_loglik(*args)
+
+    monkeypatch.setattr("matvt.mxvt._mxvt_loglik", counted)
+    params = _true_params(rng, p=3, q=2, nu=6.0)
+    groups = [sample_mxvt(params, 30 + 5 * g, seed=41, stream=g) for g in range(2)]
+    ar1_rows = StructureSpec(row_scatter=ScatterStructure.AR1)
+    for config in (EcmeConfig(), EcmeConfig(structure=ar1_rows)):
+        calls.clear()
+        res = mxvt_fit(groups, config)
+        assert res.iterations > 1
+        assert len(calls) == res.iterations + squarem.tried
 
 
 def test_fit_monotone_loglik(rng):

@@ -12,11 +12,11 @@ X (Fortran order), under which the matrix normal satisfies
 """
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expit, gammaln, zeta
 
 from .datamodel import MatrixStack, MxvtParams
 from .linalg import cholesky_logdet, solve_lower_batch, symmetrize
-from .specfun import lmvgamma
+from .specfun import lmvgamma, mvdigamma
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _LOG_PI = np.log(np.pi)
@@ -104,11 +104,56 @@ def _mxvt_loglik(nu, p, q, logdet_s, logdet_o, logdet_c, n=1):
     )
 
 
-def _mxvt_nu_part(p, q, excess, n):
-    """nu -> the terms of :func:`_mxvt_loglik` in nu, for excess = sum log|C_i| - n log|Sigma|;
-    its log Gamma_p difference is one ``gammaln`` over (nu + k)/2, k = q..q+p-1 and 0..p-1."""
-    half, weight = np.r_[q:q + p, 0:p] / 2.0, np.repeat([float(n), -float(n)], p)
-    return lambda nu: float(gammaln(0.5 * nu + half) @ weight) - 0.5 * (nu + p + q - 1) * excess
+class _MxvtNuPart:
+    """The terms of :func:`_mxvt_loglik` in nu and in a, with Sigma -> e^a Sigma
+    and the means and Omega held fixed:
+
+        l(nu, a) = n sum_k [log G((nu+q+k)/2) - log G((nu+k)/2)] - (npq/2) a
+                   - ((nu+p+q-1)/2) sum log(1 + lam e^-a),       k = 0..p-1,
+
+    where ``lam`` holds the nonzero eigenvalues of Sigma^-1 D_i Omega^-1 D_i^T,
+    one row per observation, and ``excess`` = sum log|C_i| - n log|Sigma| is
+    the last sum at a = 0.  The log Gamma_p difference is one ``gammaln``
+    over 2p arguments.  Without ``lam`` only l(nu, 0) can be taken.
+    """
+
+    def __init__(self, p, q, excess, n, lam=None):
+        self.p, self.q, self.n, self.excess, self.lam = p, q, n, excess, lam
+        self._half = np.concatenate([np.arange(q, q + p), np.arange(p)]) / 2.0
+        self._weight = np.repeat([float(n), -float(n)], p)
+        if lam is not None:
+            # log lam, -inf for a zero eigenvalue: log(1 + lam e^-a) is then
+            # logaddexp(0, log lam - a), which neither overflows nor warns
+            self._log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0)
+            self._log1p = np.logaddexp(0.0, self._log_lam).sum(axis=1)
+
+    def shift(self, a):
+        """log|C_i| - p a at a, less its value at 0: one entry per observation."""
+        return np.logaddexp(0.0, self._log_lam - a).sum(axis=1) - self._log1p
+
+    def __call__(self, nu, a=0.0):
+        p, q, n = self.p, self.q, self.n
+        excess = self.excess + float(self.shift(a).sum()) if a else self.excess
+        return (
+            float(gammaln(0.5 * nu + self._half) @ self._weight)
+            - 0.5 * n * p * q * a - 0.5 * (nu + p + q - 1) * excess
+        )
+
+    def derivatives(self, nu):
+        """Gradient and Hessian at (nu, 0): ``(g_nu, g_a, h_nu_nu, h_nu_a, h_a_a)``.
+
+        With t = lam e^-a, d/da sum log(1 + t) = -sum t/(1+t) and
+        d2/da2 = sum t/(1+t)^2.
+        """
+        p, q, n = self.p, self.q, self.n
+        kappa = nu + p + q - 1
+        g_nu = 0.5 * n * (mvdigamma(p, 0.5 * kappa) - mvdigamma(p, 0.5 * (nu + p - 1)))
+        g_nu -= 0.5 * self.excess
+        # the trigamma function is the Hurwitz zeta function zeta(2, x)
+        h_nu_nu = 0.25 * float(zeta(2.0, 0.5 * nu + self._half) @ self._weight)
+        frac = expit(self._log_lam)  # t / (1 + t) at a = 0
+        s1, s2 = float(frac.sum()), float((frac * (1.0 - frac)).sum())
+        return float(g_nu), 0.5 * (kappa * s1 - n * p * q), h_nu_nu, 0.5 * s1, -0.5 * kappa * s2
 
 
 def mxvt_logpdf(X, params):

@@ -146,14 +146,15 @@ def _iterate(step, state, config, single, coords=None):
 
     ``coords``, a pair of maps ``(to_vector, from_vector)``, accelerates the
     loop by SQUAREM scheme S3 (Varadhan and Roland, 2008).  ``to_vector``
-    gives a state's unconstrained coordinates, or None for a state that
-    must take the plain step; ``from_vector`` gives back ``(state,
-    log_lik)``, or None for coordinates that name no valid state.  A cycle
-    is three steps: from theta_0, theta_1 = F(theta_0) and theta_2 =
-    F(theta_1) give the extrapolated theta', and the third step starts from
-    theta' when its log-likelihood is no lower than theta_2's, else from
-    theta_2.  The third step's result is the next cycle's theta_0, so the
-    trace never falls.  No extrapolation follows the last step, which
+    gives a state's unconstrained coordinates, whose number may change
+    from state to state (a parameter held on a bound has none); a vector
+    of a new length starts a new cycle.  ``from_vector`` gives back
+    ``(state, log_lik)``, or None for coordinates that name no valid state.
+    A cycle is three steps: from theta_0, theta_1 = F(theta_0) and theta_2
+    = F(theta_1) give the extrapolated theta', and the third step starts
+    from theta' when its log-likelihood is no lower than theta_2's, else
+    from theta_2.  The third step's result is the next cycle's theta_0, so
+    the trace never falls.  No extrapolation follows the last step, which
     keeps a fit cut short by ``max_iter`` the first steps of the full fit.
 
     Returns the :class:`FitResult`, with the parameters normalized and
@@ -170,7 +171,7 @@ def _iterate(step, state, config, single, coords=None):
             break
         if coords and iterations < config.max_iter:
             x = coords[0](state)
-            cycle = [] if x is None else cycle + [x]
+            cycle = cycle + [x] if cycle and len(cycle[-1]) == len(x) else [x]
             if len(cycle) == 3:
                 state = _extrapolated(cycle, state, ll, coords[1])
                 cycle = []

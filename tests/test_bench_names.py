@@ -41,19 +41,34 @@ def test_traced_names_resolve(monkeypatch):
 
 
 def test_nu_span_sees_every_nu_step(monkeypatch):
-    # the benchmark times the nu search through ``matvt.mxvt.minimize_scalar``
-    # (``NU_FALLBACK``); an estimated-nu fit must enter it once per ECME step,
-    # or the traced ``mxvt.nu_fallback.*`` metrics stop measuring the nu step
-    module, attr, _ = _load_spans(monkeypatch).NU_FALLBACK
+    # the benchmark times the nu step through ``matvt.mxvt.solve_nu`` and its
+    # fallback search through ``matvt.mxvt.minimize_scalar``
+    # (``NU_FALLBACK``): an estimated-nu fit enters ``solve_nu`` once per
+    # ECME step, and the search only inside a step whose Newton step was
+    # refused, which then leaves the scale of Sigma alone (a == 0)
+    spans = _load_spans(monkeypatch)
+    assert ("matvt.mxvt", "solve_nu", "mxvt.solve_nu") in spans.LAYERS
+    module, attr, _ = spans.NU_FALLBACK
     assert (module, attr) == ("matvt.mxvt", "minimize_scalar")
-    search = mxvt.minimize_scalar
-    calls = []
+    step, search = mxvt.solve_nu, mxvt.minimize_scalar
+    steps, searches = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_step(*args, **kwargs):
+        before = len(searches)
+        out = step(*args, **kwargs)
+        steps.append((len(searches) - before, out[1]))
+        return out
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(mxvt, "minimize_scalar", counted)
+    monkeypatch.setattr(mxvt, "solve_nu", counted_step)
+    monkeypatch.setattr(mxvt, "minimize_scalar", counted_search)
     truth = MxvtParams(6.0, np.zeros((4, 3)), np.eye(4), np.eye(3))
     res = mxvt.mxvt_fit(sample_mxvt(truth, 60, seed=3))
-    assert res.iterations > 1 and len(calls) == res.iterations
+    assert res.iterations > 1 and len(steps) == res.iterations
+    fallbacks = [a for searched, a in steps if searched]
+    assert all(searched <= 1 for searched, _ in steps)
+    assert len(searches) == len(fallbacks) < len(steps)
+    assert all(a == 0.0 for a in fallbacks)

@@ -12,7 +12,7 @@ from matvt.datamodel import (
 )
 from matvt.distributions import mxvn_logpdf, sample_mxvn
 from matvt.errors import EstimationError
-from matvt.mxvn import FitConfig, check_sample_size, mxvn_fit
+from matvt.mxvn import FitConfig, _iterate, check_sample_size, mxvn_fit
 
 from conftest import random_spd
 
@@ -189,3 +189,32 @@ def test_log_lik_is_the_density_at_the_returned_params(rng, structure, n_groups)
     params = res.params if n_groups > 1 else [res.params]
     density = sum(mxvn_logpdf(g.data, prm).sum() for g, prm in zip(groups, params))
     assert res.log_lik == pytest.approx(density, rel=1e-10)
+
+
+def test_iteration_loop_starts_a_new_cycle_when_the_coordinates_change_length():
+    # step k's state has the coordinates k^2, lengths[k - 1] of them; a cycle
+    # extrapolates only from three vectors of one length in a row, so the
+    # loop tries the points after steps 5 and 8 and no other
+    lengths = [2, 2, 3, 3, 3, 2, 2, 2, 2]
+    prm = MxvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
+    tried = []
+
+    def step(state):
+        k = state[1] + 1
+        return ([prm], k), float(k)
+
+    def to_vector(state):
+        k = state[1]
+        return np.full(lengths[k - 1], float(k * k))
+
+    def from_vector(x):
+        tried.append(x)
+        return None
+
+    res, _ = _iterate(step, ([prm], 0), FitConfig(max_iter=10), True, (to_vector, from_vector))
+    assert res.iterations == 10 and not res.converged
+    # S3 from theta_0 = 9, 16, 25 (r = 7, v = 2, step -3.5) and from 36, 49, 64
+    # (r = 13, v = 2, step -6.5)
+    assert len(tried) == 2
+    np.testing.assert_allclose(tried[0], np.full(3, 82.5))
+    np.testing.assert_allclose(tried[1], np.full(2, 289.5))

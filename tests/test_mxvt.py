@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,19 +12,30 @@ from matvt.datamodel import (
     Ar1Matrix,
     MatrixStack,
     MeanStructure,
+    MxvnParams,
     MxvtParams,
     ScatterStructure,
     StructureSpec,
 )
 from matvt.distributions import (
     _mxvt_loglik,
-    _mxvt_nu_part,
+    _MxvtNuPart,
     make_rng,
     mxvt_logpdf,
+    sample_mxvn,
     sample_mxvt,
     t_bracket,
 )
-from matvt.mxvt import NU_ESTIMATE, NU_TOL, EcmeConfig, cme1, estep, mxvt_fit, solve_nu
+from matvt.mxvt import (
+    NU_ESTIMATE,
+    NU_TOL,
+    EcmeConfig,
+    cme1,
+    estep,
+    mxvt_fit,
+    search_nu,
+    solve_nu,
+)
 from matvt.specfun import lmvgamma
 
 from conftest import random_spd
@@ -140,7 +152,7 @@ def _nu_profile(rng, nu, n, seed):
 
 def test_solve_nu_maximizes_observed_loglik(rng):
     ll_of = _nu_profile(rng, nu=8.0, n=100, seed=7)
-    nu_hat, interior = solve_nu(ll_of, 10.0)
+    nu_hat, interior = search_nu(ll_of, 10.0)
     assert interior and 2.0 < nu_hat < 1000.0
     best = ll_of(nu_hat)
     near = nu_hat * (1 + np.linspace(-0.05, 0.05, 11))
@@ -150,20 +162,20 @@ def test_solve_nu_maximizes_observed_loglik(rng):
 
 def test_solve_nu_interval_off_the_maximum_returns_its_end(rng):
     ll_of = _nu_profile(rng, nu=8.0, n=100, seed=8)
-    nu_hat, _ = solve_nu(ll_of, 10.0)
+    nu_hat, _ = search_nu(ll_of, 10.0)
     # an interval entirely left of the maximum -> its upper end, flagged
     hi = nu_hat / 2
-    assert solve_nu(ll_of, hi / 2, bounds=(2.0, hi)) == (hi, False)
+    assert search_nu(ll_of, hi / 2, bounds=(2.0, hi)) == (hi, False)
     # entirely right of it -> its lower end, flagged
     lo = nu_hat * 2
-    assert solve_nu(ll_of, 2 * lo, bounds=(lo, 1000.0)) == (lo, False)
+    assert search_nu(ll_of, 2 * lo, bounds=(lo, 1000.0)) == (lo, False)
 
 
 def test_solve_nu_keeps_current_nu_the_search_cannot_beat():
     # the search only gets within its tolerance of the maximum at 7.3
     ll_of = lambda v: -((v - 7.3) ** 2)
-    assert solve_nu(ll_of, 7.3) == (7.3, True)
-    nu_hat, interior = solve_nu(ll_of, 50.0)
+    assert search_nu(ll_of, 7.3) == (7.3, True)
+    nu_hat, interior = search_nu(ll_of, 50.0)
     assert interior and nu_hat == pytest.approx(7.3, abs=1e-5)
 
 
@@ -182,7 +194,7 @@ def _nu_terms(p, q, n, nu_max):
 def test_nu_part_is_the_loglik_up_to_a_constant(p, q):
     n = 40
     logdet_s, logdet_o, sum_logdet_c = _nu_terms(p, q, n, nu_max=8.0)
-    part = _mxvt_nu_part(p, q, sum_logdet_c - n * logdet_s, n)
+    part = _MxvtNuPart(p, q, sum_logdet_c - n * logdet_s, n)
     grid = np.geomspace(2.0, 1000.0, 60)
     ll = np.array([_mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n) for v in grid])
     gap = np.array([part(v) for v in grid]) - ll
@@ -195,15 +207,18 @@ def test_nu_part_is_the_loglik_up_to_a_constant(p, q):
 @pytest.mark.parametrize("q", range(1, 7))
 @pytest.mark.parametrize("nu_max", [3.0, 8.0, 0.5, 5000.0], ids=["3", "8", "below", "above"])
 def test_nu_search_on_the_nu_part_finds_the_loglik_maximizer(p, q, nu_max):
-    # a maximum below the lower bound or above the upper bound ends on the bound
+    # a maximum below the lower bound or above the upper bound ends on the
+    # bound; a part without eigenvalues (Grams too large for them) makes
+    # the nu step this search, with Sigma's scale left alone
     n = 40
     logdet_s, logdet_o, sum_logdet_c = _nu_terms(p, q, n, nu_max)
-    part = _mxvt_nu_part(p, q, sum_logdet_c - n * logdet_s, n)
+    part = _MxvtNuPart(p, q, sum_logdet_c - n * logdet_s, n)
     ll_of = lambda v: _mxvt_loglik(v, p, q, logdet_s, logdet_o, sum_logdet_c, n)
-    got, interior = solve_nu(part, 10.0)
-    want, want_interior = solve_nu(ll_of, 10.0)
+    got, interior = search_nu(part, 10.0)
+    want, want_interior = search_nu(ll_of, 10.0)
     assert abs(got - want) <= NU_TOL
     assert interior == want_interior == (2.0 < nu_max < 1000.0)
+    assert solve_nu(part, 10.0) == (got, 0.0, interior)
 
 
 def test_fit_flags_nu_at_the_upper_bound():
@@ -215,6 +230,110 @@ def test_fit_flags_nu_at_the_upper_bound():
     res = mxvt_fit(data, EcmeConfig(max_iter=6000))
     assert res.params.nu == 1000.0
     assert res.nu_at_bound and not res.converged
+
+
+def _nu_scale_point(kind):
+    # (groups, nu, means, Sigma, Omega) three ECME steps into a fit with an
+    # estimated nu: one stack with free scatters, one with AR(1) rows, and
+    # two pooled groups
+    truth = MxvtParams(6.0, np.arange(12.0).reshape(4, 3) / 10.0, Ar1Matrix(4, 0.4).full(), np.eye(3))
+    X = sample_mxvt(truth, 40, seed=21).data
+    groups = [MatrixStack(X[:25]), MatrixStack(X[25:] + 1.0)] if kind == "pooled" else [MatrixStack(X)]
+    structure = StructureSpec(row_scatter=ScatterStructure.AR1) if kind == "ar1-rows" else StructureSpec()
+    res = mxvt_fit(groups, EcmeConfig(max_iter=3, structure=structure))
+    return groups, res.params[0].nu, [prm.M for prm in res.params], res.params[0].Sigma, res.params[0].Omega
+
+
+@pytest.mark.parametrize("kind", ["free", "ar1-rows", "pooled"])
+def test_nu_scale_derivatives_match_central_differences(kind):
+    # l(nu, a) is the full log-likelihood at (nu, e^a Sigma), through t_bracket
+    groups, nu, means, Sigma, Omega = _nu_scale_point(kind)
+    p, q = Sigma.shape[0], Omega.shape[0]
+    n = sum(g.n for g in groups)
+    logdet_o = np.linalg.slogdet(Omega)[1]
+
+    def ll(v, a):
+        S = np.exp(a) * Sigma
+        logdet_c = sum(t_bracket(g.data, MxvtParams(v, M, S, Omega))[1].sum() for g, M in zip(groups, means))
+        return _mxvt_loglik(v, p, q, np.linalg.slogdet(S)[1], logdet_o, logdet_c, n)
+
+    Ls, Lo = np.linalg.cholesky(Sigma), np.linalg.cholesky(Omega)
+    lam = mxvt._gram_eigenvalues(groups, means, Ls, Lo)
+    assert lam.shape == (n, min(p, q))
+    excess = sum(t_bracket(g.data, MxvtParams(nu, M, Sigma, Omega))[1].sum() for g, M in zip(groups, means))
+    part = _MxvtNuPart(p, q, excess - n * np.linalg.slogdet(Sigma)[1], n, lam)
+    g_nu, g_a, h_nn, h_na, h_aa = part.derivatives(nu)
+
+    # fourth-order stencils for the pure derivatives, second-order for the mixed one
+    hn, ha = 1e-3 * nu, 1e-3
+    f = {(i, j): ll(nu + i * hn, j * ha) for i in range(-2, 3) for j in range(-2, 3) if i * j in (0, 1, -1)}
+    d1 = lambda fp, fm, fp2, fm2, h: (8 * (fp - fm) - (fp2 - fm2)) / (12 * h)
+    d2 = lambda fp, fm, fp2, fm2, h: (16 * (fp + fm) - (fp2 + fm2) - 30 * f[0, 0]) / (12 * h * h)
+    along_nu = (f[1, 0], f[-1, 0], f[2, 0], f[-2, 0], hn)
+    along_a = (f[0, 1], f[0, -1], f[0, 2], f[0, -2], ha)
+    fd_g = [d1(*along_nu), d1(*along_a)]
+    fd_h = [d2(*along_nu), (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4 * hn * ha), d2(*along_a)]
+    np.testing.assert_allclose([g_nu, g_a], fd_g, rtol=1e-6)
+    np.testing.assert_allclose([h_nn, h_na, h_aa], fd_h, rtol=1e-6)
+    # and l itself moves with a as the full log-likelihood does
+    for a in (-0.5, 0.3):
+        assert part(nu, a) - part(nu) == pytest.approx(ll(nu, a) - ll(nu, 0.0), rel=1e-10)
+
+
+def test_nu_on_a_bound_where_l_still_rises_moves_only_the_scale():
+    # dl/dnu > 0 at nu = hi, but Sigma's scale should shrink, and the joint
+    # Newton step would pull nu in by about 30: the bound rule keeps nu on
+    # hi and steps a alone
+    lam, hi = np.full((3, 2), 0.01), 40.0
+    rising = _MxvtNuPart(3, 2, 0.0, 3, lam).derivatives(hi)[0] - 0.01
+    part = _MxvtNuPart(3, 2, 2.0 * rising, 3, lam)
+    g_nu, g_a, h_nn, h_na, h_aa = part.derivatives(hi)
+    assert g_nu > 0.0 and (h_na * g_a - h_aa * g_nu) / (h_nn * h_aa - h_na**2) < -1.0
+    nu, a, interior = solve_nu(part, hi, (2.0, hi))
+    assert nu == hi and not interior and a < 0.0
+    assert part(nu, a) > part(hi)
+
+
+def test_scale_step_keeps_the_brackets_of_the_state(squarem):
+    # C_i -> C_i + (e^a - 1) Sigma and log|C_i| from lam are the brackets at
+    # the rescaled Sigma: the next E-step and the trace use them
+    data = _squarem_data(4, 3, pooled=True)
+    for k in (1, 2, 4, 5):
+        mxvt_fit(data, EcmeConfig(max_iter=k))
+        params, _, brackets, _ = squarem.state
+        for g, prm, (C, logdet_c) in zip(data, params, brackets):
+            want_C, want_logdet = t_bracket(g.data, prm)
+            np.testing.assert_allclose(C, want_C, rtol=1e-12, atol=1e-12 * np.abs(want_C).max())
+            np.testing.assert_allclose(logdet_c, want_logdet, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("g_a", [1e9, -1e9], ids=["up", "down"])
+def test_nu_scale_trials_far_out_raise_no_warning(monkeypatch, g_a):
+    # a zero eigenvalue (an observation at the mean) and a Newton step of
+    # |a| ~ 1e12: every halving is refused without an overflow, and the
+    # fallback search takes the step
+    lam = np.array([[0.0, 0.5], [2.0, 0.0], [1.5, 0.3]])
+    part = _MxvtNuPart(3, 2, float(np.log1p(lam).sum()), 3, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (-1e4, -800.0, 800.0, 1e4):
+            assert part(8.0, a) < part(8.0)
+        monkeypatch.setattr(part, "derivatives", lambda nu: (0.0, g_a, -1.0, 0.0, -1e-3))
+        searched = []
+        search = mxvt.search_nu
+        monkeypatch.setattr(mxvt, "search_nu", lambda *args: searched.append(1) or search(*args))
+        nu, a, _ = solve_nu(part, 8.0)
+    assert searched == [1] and a == 0.0 and np.isfinite(nu)
+
+
+def test_fit_of_normal_data_reaches_the_nu_bound_without_crawling():
+    # the stack of ``matvt simulate --family normal --p 5 --q 3 --n 35
+    # --seed 3``: l rises in nu up to the bound, but a step in nu alone
+    # crawls there, about 4 per 50 steps from nu = 200
+    data = sample_mxvn(MxvnParams(np.zeros((5, 3)), np.eye(5), np.eye(3)), 35, 3)
+    res = mxvt_fit(data)
+    assert res.nu_at_bound and res.params.nu == 1000.0
+    assert res.iterations < 200
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +444,18 @@ def test_fit_estimated_nu_at_least_fixed_true(rng):
 
 
 def test_fit_normal_data_pushes_nu_up(rng):
-    # near-normal data: nu estimate drifts toward the upper bound and the
-    # fit reports the bound instead of claiming convergence
+    # near-normal data: l still rises in nu at the upper bound, so the nu
+    # estimate ends exactly on it and the fit reports the bound instead of
+    # claiming convergence
     true = _true_params(rng, p=2, q=2, nu=500.0)
     data = sample_mxvt(true, 200, seed=13)
     res = mxvt_fit(data, EcmeConfig(nu_bounds=(2.0, 40.0), max_iter=300))
-    assert res.params.nu == pytest.approx(40.0, abs=1e-3)
+    assert res.params.nu == 40.0
     assert res.nu_at_bound
     assert not res.converged
+    prm = res.params
+    lam = mxvt._gram_eigenvalues([data], [prm.M], np.linalg.cholesky(prm.Sigma), np.linalg.cholesky(prm.Omega))
+    assert _MxvtNuPart(2, 2, float(np.log1p(lam).sum()), data.n, lam).derivatives(40.0)[0] >= 0.0
 
 
 def test_fit_structured_scatter(rng):
@@ -428,6 +551,20 @@ def test_squarem_coordinates_round_trip(squarem, p, q, pooled, nu):
     # the log-likelihood at the mapped-back state is the step's own, to
     # rounding that the weight kappa = nu + p + q - 1 scales up
     assert ll == pytest.approx(res.log_lik_trace[-1], rel=1e-12)
+
+
+def test_squarem_coordinates_hold_a_nu_on_its_bound(squarem, rng):
+    # a nu on its bound has no coordinate: the other parameters stay
+    # accelerated, and a vector maps back to the bound, flagged
+    true = _true_params(rng, p=2, q=2, nu=500.0)
+    res = mxvt_fit(sample_mxvt(true, 200, seed=13), EcmeConfig(nu_bounds=(2.0, 40.0), max_iter=300))
+    assert res.nu_at_bound and squarem.tried > 0
+    to_vector, from_vector = squarem.coords
+    x = to_vector(squarem.state)
+    assert len(x) == 4 + 3 + 3
+    state, _ = from_vector(x)
+    assert state[0][0].nu == 40.0 and not state[1]
+    assert _close(to_vector(state), x)
 
 
 @pytest.mark.parametrize("how", ["collinear", "lower", "overflow", "singular"])
